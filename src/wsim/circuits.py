@@ -157,8 +157,12 @@ def angles_from_coefficients(alphas) -> SplitterAngles:
 
 
 def generate_w(angles: SplitterAngles) -> PureState:
-    """Run the chain on |1, 0, ..., 0> and apply the phase shifters."""
-    space = FockSpace(angles.num_modes)
+    """Run the chain on |1, 0, ..., 0> and apply the phase shifters.
+
+    The photon number is conserved, so the state lives in the one-photon
+    space ``FockSpace(N, 1)`` of dimension N + 1.
+    """
+    space = FockSpace(angles.num_modes, 1)
     state = fock_state(space, (1,) + (0,) * (angles.num_modes - 1))
     for j, theta in enumerate(angles.thetas):
         state = apply_two_mode_unitary(state, (j, j + 1), splitter(theta))
@@ -169,10 +173,11 @@ def generate_w(angles: SplitterAngles) -> PureState:
 
 
 def w_state_from_coefficients(alphas) -> PureState:
-    """Single-photon state sum_j alpha_j |0...1_j...0> built directly."""
+    """Single-photon state sum_j alpha_j |0...1_j...0> built directly, in
+    the one-photon space ``FockSpace(N, 1)`` of dimension N + 1."""
     w = _as_coefficients(alphas)
     n = len(w)
-    space = FockSpace(n)
+    space = FockSpace(n, 1)
     amps = {}
     for j, a in enumerate(w.alphas):
         if a != 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -288,9 +289,11 @@ def _critical_row(task) -> dict:
 def _run_tasks(worker, tasks, jobs: int) -> list[dict]:
     if jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    if jobs == 1 or len(tasks) <= 1:
+    # never more workers than rows or CPUs, whatever --jobs asks for
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves task order, so the output is schedule-independent
         return list(pool.map(worker, tasks))
 

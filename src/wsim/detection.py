@@ -110,9 +110,17 @@ def condition(rho: DensityOperator, assignments: Mapping[int, PovmElement]) -> D
     space whose single entry is that probability.  Mode keys must be
     distinct (guaranteed by the mapping) and in range.
     """
+    space = rho.space
+    weights = _povm_weights(space, assignments)
+    keep = tuple(m for m in range(space.num_modes) if m not in assignments)
+    out_space, out = _condition_raw(space, rho.matrix, weights, keep)
+    return DensityOperator(out_space, out)
+
+
+def _povm_weights(space: FockSpace, assignments: Mapping[int, PovmElement]) -> np.ndarray:
+    """Diagonal of the joint POVM element over the basis of ``space``."""
     if not assignments:
         raise ValueError("no detector outcomes assigned")
-    space = rho.space
     for mode in assignments:
         if not 0 <= mode < space.num_modes:
             raise ValueError(f"mode {mode} out of range")
@@ -125,9 +133,7 @@ def condition(rho: DensityOperator, assignments: Mapping[int, PovmElement]) -> D
                 raise ValueError("POVM cutoff below the state's occupation")
             w *= elem.entries[n]
         weights[i] = w
-    keep = tuple(m for m in range(space.num_modes) if m not in assignments)
-    out_space, out = _condition_raw(space, rho.matrix, weights, keep)
-    return DensityOperator(out_space, out)
+    return weights
 
 
 def _require_two_mode_normalized(rho2: DensityOperator) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,17 +41,33 @@ def _occupations(num_modes: int, total: int, mode_cutoff: int):
             yield (k,) + rest
 
 
+@lru_cache(maxsize=256)
+def _basis_tables(
+    num_modes: int, total_cutoff: int, mode_cutoff: int
+) -> tuple[tuple[Occupation, ...], dict[Occupation, int]]:
+    """Basis and index of a space, enumerated once per process and shared
+    by every equal FockSpace."""
+    basis: list[Occupation] = []
+    for n in range(total_cutoff + 1):
+        basis.extend(_occupations(num_modes, n, mode_cutoff))
+    return tuple(basis), {occ: i for i, occ in enumerate(basis)}
+
+
 @dataclass(frozen=True)
 class FockSpace:
     """Truncated Fock space over ``num_modes`` optical modes.
 
     Truncation is by total photon number (``total_cutoff``) and per-mode
     occupation (``mode_cutoff``, defaulting to the total cutoff).  The
-    default cutoff of 2 is sufficient for every state handled here: a W
-    state carries one photon and the teleported qubit at most one more.
+    default cutoff of 2 holds every state where the sender's qubit meets
+    the network: one photon from the W state plus at most one more.  W
+    states and the heralded pair carry exactly one photon, so they live in
+    ``FockSpace(n, 1)`` of dimension n + 1 and are zero-padded into the
+    two-photon space only where the qubit joins.
 
     ``num_modes = 0`` is the degenerate space left after measuring every
-    mode; its only basis element is the empty tuple.
+    mode; its only basis element is the empty tuple.  Equal spaces share
+    one enumeration of their basis and index.
     """
 
     num_modes: int
@@ -70,14 +86,11 @@ class FockSpace:
 
     @cached_property
     def basis(self) -> tuple[Occupation, ...]:
-        out: list[Occupation] = []
-        for n in range(self.total_cutoff + 1):
-            out.extend(_occupations(self.num_modes, n, self.mode_cutoff))
-        return tuple(out)
+        return _basis_tables(self.num_modes, self.total_cutoff, self.mode_cutoff)[0]
 
     @cached_property
     def index(self) -> dict[Occupation, int]:
-        return {occ: i for i, occ in enumerate(self.basis)}
+        return _basis_tables(self.num_modes, self.total_cutoff, self.mode_cutoff)[1]
 
     @property
     def dim(self) -> int:
@@ -260,6 +273,15 @@ def _ptrace_raw(
             for j, kj in members:
                 out[ki, kj] += matrix[i, j]
     return out_space, out
+
+
+def _pad_raw(space: FockSpace, matrix: np.ndarray, target: FockSpace) -> np.ndarray:
+    """Embed an operator into a space over the same modes with larger
+    cutoffs; the entries of the added occupations are zero."""
+    rows = [target.index[occ] for occ in space.basis]
+    out = np.zeros((target.dim, target.dim), dtype=complex)
+    out[np.ix_(rows, rows)] = matrix
+    return out
 
 
 def _check_two_mode_unitary(u) -> np.ndarray:

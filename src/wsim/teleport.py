@@ -30,15 +30,17 @@ import numpy as np
 
 from .circuits import bell_splitter, generate_w, symmetric_angles
 from .config import TOL
-from .detection import DetectorModel, condition, povm_number, povm_onoff
+from .detection import DetectorModel, _povm_weights, condition, povm_number, povm_onoff
 from .fock import (
     DensityOperator,
     FockSpace,
     PureState,
+    _condition_raw,
     _embedded_unitary,
+    _pad_raw,
+    _ptrace_raw,
     apply_phase_shift,
     apply_two_mode_unitary,
-    partial_trace,
     tensor,
 )
 from .optimize import bisect_root, golden_section_max
@@ -268,15 +270,24 @@ def event_probability_closed_form(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+_RESOURCE_SPACE = FockSpace(2)
+_JOINT_SPACE = FockSpace(3)
+
+
+@lru_cache(maxsize=4096)
 def _conditional_resource_cached(n: int, m: int, eta: float) -> DensityOperator:
     rho = generate_w(symmetric_angles(n)).to_density()
+    space, mat = rho.space, rho.matrix
     if m:
         vac = povm_number(0, DetectorModel(eta))
-        rho = condition(rho, {2 + k: vac for k in range(m)})
-    if rho.num_modes > 2:
-        rho = partial_trace(rho, (0, 1))
-    return rho
+        assignments = {2 + k: vac for k in range(m)}
+        keep = tuple(k for k in range(n) if k not in assignments)
+        space, mat = _condition_raw(space, mat, _povm_weights(space, assignments), keep)
+    if space.num_modes > 2:
+        space, mat = _ptrace_raw(space, mat, (0, 1))
+    return DensityOperator(
+        _RESOURCE_SPACE, _pad_raw(space, mat, _RESOURCE_SPACE), normalized=rho.normalized and not m
+    )
 
 
 def conditional_resource(params: TeleportParams) -> DensityOperator:
@@ -284,7 +295,11 @@ def conditional_resource(params: TeleportParams) -> DensityOperator:
 
     Built by running the preparation circuit and conditioning modes
     2..m+1 on the vacuum outcome (unnormalized; the trace is the heralding
-    probability (N - eta m)/N).  Results are cached per (N, m, eta).
+    probability (N - eta m)/N).  The photon number never exceeds one
+    before the qubit joins, so the circuit, the conditioning and the
+    partial trace run in the one-photon space of dimension N + 1; the pair
+    is then zero-padded into the two-photon space ``FockSpace(2)`` and
+    validated there.  Results are cached per (N, m, eta).
     """
     return _conditional_resource_cached(params.N, params.m, params.eta)
 
@@ -362,11 +377,6 @@ def bob_state_closed_form(
 # and their Bloch averages follow from fixed moments of the amplitudes.
 # ---------------------------------------------------------------------------
 
-_QUBIT_SPACE = FockSpace(1)
-_RESOURCE_SPACE = FockSpace(2)
-_JOINT_SPACE = FockSpace(3)
-
-
 @lru_cache(maxsize=1)
 def _joint_index_maps():
     joint, res = _JOINT_SPACE, _RESOURCE_SPACE
@@ -409,7 +419,7 @@ def _bell_unitary(theta: float) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _event_weight_sqrt(eta: float, kind: str, kc: int, kd: int) -> np.ndarray:
     det = DetectorModel(eta)
     if kind == "number":

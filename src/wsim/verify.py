@@ -108,6 +108,8 @@ def _random_teleport_params(rng: np.random.Generator) -> TeleportParams:
 
 def run_verification(seed: int = 0, tolerance: float | None = None) -> list[ClaimResult]:
     """Run every claim and return its record; see the module docstring."""
+    if tolerance is not None and not 0.0 <= float(tolerance) < math.inf:
+        raise ValueError(f"tolerance {tolerance} must be finite and non-negative")
     rng = np.random.default_rng(seed)
     results: list[ClaimResult] = []
 

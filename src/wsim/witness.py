@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import WCoefficients, w_state_from_coefficients
 from .config import TOL
 from .detection import DetectorModel, lossy_moments
-from .fock import DensityOperator, FockSpace, partial_trace
+from .fock import DensityOperator, FockSpace, _pad_raw, _ptrace_raw
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,9 @@ class WitnessScanReport:
             raise ValueError("all_violated flag inconsistent with results")
 
 
+_PAIR_SPACE = FockSpace(2)
+
+
 def _as_coefficients(w) -> WCoefficients:
     if isinstance(w, WCoefficients):
         return w
@@ -77,13 +80,21 @@ def _as_coefficients(w) -> WCoefficients:
 def reduced_pair(w, i: int, j: int) -> DensityOperator:
     """Two-mode reduction of the W state onto modes (i, j).
 
-    Computed by partial trace of the full state and cross-checked against
-    the closed form p|Psi><Psi| + (1-p)|00><00| with
+    Computed by partial trace of the full state, which carries one photon
+    and so lives in the one-photon space of dimension N + 1; the reduced
+    pair is zero-padded into the two-photon space ``FockSpace(2)``.  It is
+    cross-checked against the closed form p|Psi><Psi| + (1-p)|00><00| with
     |Psi> = (alpha_i|10> + alpha_j|01>)/sqrt(p); the two must agree to
-    rounding.  Errors when both coefficients vanish (the reduction is
-    vacuum and the witness is vacuous).
+    rounding, and a disagreement raises RuntimeError.  Errors with
+    ValueError when both coefficients vanish (the reduction is vacuum and
+    the witness is vacuous).
     """
     w = _as_coefficients(w)
+    return _reduce_pair(w, w_state_from_coefficients(w).to_density(), i, j)
+
+
+def _reduce_pair(w: WCoefficients, rho: DensityOperator, i: int, j: int) -> DensityOperator:
+    """reduced_pair from an already built density of the W state w."""
     n = len(w.alphas)
     i, j = int(i), int(j)
     if i == j or not (0 <= i < n and 0 <= j < n):
@@ -92,16 +103,17 @@ def reduced_pair(w, i: int, j: int) -> DensityOperator:
     p = abs(a_i) ** 2 + abs(a_j) ** 2
     if p <= TOL.support:
         raise ValueError(f"modes ({i}, {j}) carry no photon weight; pair state is vacuum")
-    traced = partial_trace(w_state_from_coefficients(w).to_density(), (i, j))
+    space = _PAIR_SPACE
+    sub_space, sub = _ptrace_raw(rho.space, rho.matrix, (i, j))
+    traced = DensityOperator(space, _pad_raw(sub_space, sub, space), normalized=rho.normalized)
 
-    space = FockSpace(2)
     psi = np.zeros(space.dim, dtype=complex)
     psi[space.index[(1, 0)]] = a_i / math.sqrt(p)
     psi[space.index[(0, 1)]] = a_j / math.sqrt(p)
     closed = p * np.outer(psi, psi.conj())
     closed[space.index[(0, 0)], space.index[(0, 0)]] = 1.0 - p
     if np.max(np.abs(traced.matrix - closed)) > TOL.exact_match:
-        raise AssertionError("partial trace disagrees with the closed-form pair state")
+        raise RuntimeError("partial trace disagrees with the closed-form pair state")
     return traced.normalized_copy() if not traced.normalized else traced
 
 
@@ -155,12 +167,14 @@ def witness_ratio_closed_form(alpha_i: complex, alpha_j: complex, det: DetectorM
 def scan_all_pairs(w, det: DetectorModel) -> WitnessScanReport:
     """Witness every mode pair of a W state; certify full pairwise violation.
 
-    Pairs where both coefficients vanish are reported as non-violations
-    with a note instead of raising, so degenerate inputs yield a truthful
-    failed certification.
+    The W state and its density are built once; every pair is reduced
+    from them as reduced_pair would.  Pairs where both coefficients vanish
+    are reported as non-violations with a note instead of raising, so
+    degenerate inputs yield a truthful failed certification.
     """
     w = _as_coefficients(w)
     n = len(w.alphas)
+    rho = w_state_from_coefficients(w).to_density()
     results = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -178,7 +192,7 @@ def scan_all_pairs(w, det: DetectorModel) -> WitnessScanReport:
                     )
                 )
                 continue
-            res = witness_ratio_simulated(reduced_pair(w, i, j), det)
+            res = witness_ratio_simulated(_reduce_pair(w, rho, i, j), det)
             results.append(dataclasses.replace(res, pair=(i, j)))
     all_violated = all(r.violated for r in results)
     if all_violated:

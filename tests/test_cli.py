@@ -174,6 +174,13 @@ class TestVerify:
         _, out2, _ = run(capsys, ["verify", "--seed", "42"])
         assert out1 == out2
 
+    @pytest.mark.parametrize("value", ["-1e-12", "-1", "nan", "inf", "-inf"])
+    def test_invalid_tolerance_rejected(self, capsys, value):
+        code, out, err = run(capsys, ["verify", f"--tolerance={value}"])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestOutputPlumbing:
     def test_csv_lines_are_crlf_terminated(self, capsys):
@@ -211,3 +218,51 @@ class TestOutputPlumbing:
             capsys, ["teleport", "--N", "3", "--theta", "0.4", "--jobs", "0"]
         )
         assert code == 2
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestJobsCap:
+    ARGV = ["teleport", "--N", "3", "--m", "0,1", "--theta", "0.4", "--jobs", "64"]
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr("wsim.cli.ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        return _RecordingPool
+
+    def test_capped_at_task_count(self, capsys, monkeypatch, pool):
+        monkeypatch.setattr("wsim.cli.os.cpu_count", lambda: 8)
+        code, out, _ = run(capsys, self.ARGV)
+        assert code == 0
+        assert pool.sizes == [2]
+        assert len(parse_csv(out)[1]) == 2
+
+    def test_capped_at_cpu_count(self, capsys, monkeypatch, pool):
+        monkeypatch.setattr("wsim.cli.os.cpu_count", lambda: 1)
+        code, out, _ = run(capsys, self.ARGV)
+        assert code == 0
+        assert pool.sizes == []  # one worker runs in-process
+        assert len(parse_csv(out)[1]) == 2
+
+    def test_unknown_cpu_count_runs_in_process(self, capsys, monkeypatch, pool):
+        monkeypatch.setattr("wsim.cli.os.cpu_count", lambda: None)
+        code, _, _ = run(capsys, self.ARGV)
+        assert code == 0
+        assert pool.sizes == []
