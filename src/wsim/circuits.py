@@ -39,7 +39,7 @@ class WCoefficients:
         if len(alphas) < 2:
             raise ValueError("need at least two modes")
         norm = sum(abs(a) ** 2 for a in alphas)
-        if abs(norm - 1.0) > TOL.norm * len(alphas):
+        if not abs(norm - 1.0) <= TOL.norm * len(alphas):
             raise ValueError(f"coefficients are not normalized (norm^2 = {norm})")
         object.__setattr__(self, "alphas", alphas)
 

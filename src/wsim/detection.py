@@ -25,10 +25,11 @@ from .config import TOL
 from .fock import (
     DensityOperator,
     FockSpace,
+    _check_two_mode_unitary,
     _condition_raw,
-    apply_phase_shift,
-    apply_two_mode_unitary,
-    tensor,
+    _phase_raw,
+    _tensor_raw,
+    _unitary_raw,
     vacuum_state,
 )
 
@@ -61,7 +62,7 @@ class PovmElement:
         if not entries:
             raise ValueError("a POVM element needs at least the vacuum entry")
         for e in entries:
-            if e < -TOL.povm or e > 1.0 + TOL.povm:
+            if not -TOL.povm <= e <= 1.0 + TOL.povm:
                 raise ValueError(f"POVM entry {e} outside [0, 1]")
         object.__setattr__(self, "entries", entries)
 
@@ -110,11 +111,16 @@ def condition(rho: DensityOperator, assignments: Mapping[int, PovmElement]) -> D
     space whose single entry is that probability.  Mode keys must be
     distinct (guaranteed by the mapping) and in range.
     """
-    space = rho.space
+    return DensityOperator(*_condition_outcomes_raw(rho.space, rho.matrix, assignments))
+
+
+def _condition_outcomes_raw(
+    space: FockSpace, matrix: np.ndarray, assignments: Mapping[int, PovmElement]
+) -> tuple[FockSpace, np.ndarray]:
+    """condition on a raw matrix: the reduced space and matrix, unvalidated."""
     weights = _povm_weights(space, assignments)
     keep = tuple(m for m in range(space.num_modes) if m not in assignments)
-    out_space, out = _condition_raw(space, rho.matrix, weights, keep)
-    return DensityOperator(out_space, out)
+    return _condition_raw(space, matrix, weights, keep)
 
 
 def _povm_weights(space: FockSpace, assignments: Mapping[int, PovmElement]) -> np.ndarray:
@@ -143,6 +149,15 @@ def _require_two_mode_normalized(rho2: DensityOperator) -> None:
         raise ValueError("expected a normalized state")
 
 
+def _readout_raw(rho2: DensityOperator, phi: float) -> np.ndarray:
+    """Raw matrix of a validated two-mode state after a phase phi on the
+    second mode and a balanced splitter; the intermediates are not
+    validated again."""
+    probe = _phase_raw(rho2.space, rho2.matrix, 1, phi)
+    balanced = _check_two_mode_unitary(bell_splitter(math.pi / 4))
+    return _unitary_raw(rho2.space, probe, (0, 1), balanced)
+
+
 def _difference_statistics(rho2: DensityOperator, phi: float) -> tuple[float, float, float]:
     """Ideal photon-number-difference readout behind a balanced splitter.
 
@@ -150,11 +165,9 @@ def _difference_statistics(rho2: DensityOperator, phi: float) -> tuple[float, fl
     count difference n_c - n_d into 2J_x (phi = 0) or 2J_y (phi = pi/2).
     Returns (mean difference, variance of difference, mean total count).
     """
-    probe = apply_phase_shift(rho2, 1, phi)
-    probe = apply_two_mode_unitary(probe, (0, 1), bell_splitter(math.pi / 4))
-    diag = np.real(np.diag(probe.matrix))
-    d_vals = np.array([occ[0] - occ[1] for occ in probe.space.basis], dtype=float)
-    n_vals = np.array([occ[0] + occ[1] for occ in probe.space.basis], dtype=float)
+    diag = np.real(np.diag(_readout_raw(rho2, phi)))
+    d_vals = np.array([occ[0] - occ[1] for occ in rho2.space.basis], dtype=float)
+    n_vals = np.array([occ[0] + occ[1] for occ in rho2.space.basis], dtype=float)
     mean_d = float(diag @ d_vals)
     var_d = float(diag @ d_vals**2) - mean_d**2
     return mean_d, var_d, float(diag @ n_vals)
@@ -167,6 +180,11 @@ def lossy_moments(rho2: DensityOperator, det: DetectorModel) -> tuple[float, flo
     binomial thinning of each detector's count then gives the measured
     difference moments var(D_eta) = eta^2 var(D) + eta(1-eta)<N_+> and
     <N_+>_eta = eta <N_+>, quoted here per J component (a factor 1/4).
+
+    The input is already a validated DensityOperator, so the phase shifter
+    and the splitter run on its matrix through the raw engine and no
+    intermediate state is validated again; the same holds for
+    lossy_moments_ancilla and povm_moments.
     """
     _require_two_mode_normalized(rho2)
     eta = det.eta
@@ -186,20 +204,19 @@ def lossy_moments_ancilla(rho2: DensityOperator, det: DetectorModel) -> tuple[fl
     lossy_moments.
     """
     _require_two_mode_normalized(rho2)
-    theta_loss = math.acos(math.sqrt(det.eta))
+    loss = _check_two_mode_unitary(splitter(math.acos(math.sqrt(det.eta))))
     ancillas = vacuum_state(FockSpace(2)).to_density()
     out = []
     n_plus_meas = 0.0
     for phi in (0.0, math.pi / 2):
-        probe = apply_phase_shift(rho2, 1, phi)
-        probe = apply_two_mode_unitary(probe, (0, 1), bell_splitter(math.pi / 4))
-        big = tensor(probe, ancillas)
+        probe = _readout_raw(rho2, phi)
+        space, big = _tensor_raw(rho2.space, probe, ancillas.space, ancillas.matrix)
         # transmitted beams land on the ancilla slots 2 and 3
-        big = apply_two_mode_unitary(big, (0, 2), splitter(theta_loss))
-        big = apply_two_mode_unitary(big, (1, 3), splitter(theta_loss))
-        diag = np.real(np.diag(big.matrix))
-        d_vals = np.array([occ[2] - occ[3] for occ in big.space.basis], dtype=float)
-        n_vals = np.array([occ[2] + occ[3] for occ in big.space.basis], dtype=float)
+        big = _unitary_raw(space, big, (0, 2), loss)
+        big = _unitary_raw(space, big, (1, 3), loss)
+        diag = np.real(np.diag(big))
+        d_vals = np.array([occ[2] - occ[3] for occ in space.basis], dtype=float)
+        n_vals = np.array([occ[2] + occ[3] for occ in space.basis], dtype=float)
         mean_d = float(diag @ d_vals)
         out.append((float(diag @ d_vals**2) - mean_d**2) / 4.0)
         if phi == 0.0:
@@ -226,14 +243,12 @@ def povm_moments(
     variances = []
     n_plus_meas = 0.0
     for phi in (0.0, math.pi / 2):
-        probe = apply_phase_shift(rho2, 1, phi)
-        probe = apply_two_mode_unitary(probe, (0, 1), bell_splitter(math.pi / 4))
-        diag = np.real(np.diag(probe.matrix))
+        diag = np.real(np.diag(_readout_raw(rho2, phi)))
         mean_d = mean_d2 = mean_n = 0.0
         for elem_c, val_c in outcomes:
             for elem_d, val_d in outcomes:
                 weights = np.array(
-                    [elem_c.entries[occ[0]] * elem_d.entries[occ[1]] for occ in probe.space.basis]
+                    [elem_c.entries[occ[0]] * elem_d.entries[occ[1]] for occ in rho2.space.basis]
                 )
                 p = float(diag @ weights)
                 d = val_c - val_d

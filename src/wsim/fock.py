@@ -133,9 +133,9 @@ class PureState:
                 clean[occ] = clean.get(occ, 0.0) + a
         object.__setattr__(self, "amplitudes", clean)
         n2 = self.norm_sq
-        if n2 <= 0.0 or n2 > 1.0 + TOL.norm:
+        if not 0.0 < n2 <= 1.0 + TOL.norm:
             raise ValueError(f"squared norm {n2} outside (0, 1]")
-        if not self.post_selected and abs(n2 - 1.0) > TOL.norm:
+        if not self.post_selected and not abs(n2 - 1.0) <= TOL.norm:
             raise ValueError("sub-unit norm requires the post_selected flag")
 
     @property
@@ -186,12 +186,14 @@ class DensityOperator:
         dim = self.space.dim
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {dim}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > TOL.hermiticity:
             raise ValueError("matrix is not Hermitian within tolerance")
         if dim > 0 and np.linalg.eigvalsh(m).min() < -TOL.positivity:
             raise ValueError("matrix is not positive semidefinite within tolerance")
         tr = m.trace()
-        if tr.real > 1.0 + TOL.trace or tr.real < -TOL.trace:
+        if not -TOL.trace <= tr.real <= 1.0 + TOL.trace:
             raise ValueError(f"trace {tr.real} outside [0, 1]")
         if self.normalized and abs(tr.real - 1.0) > TOL.trace:
             raise ValueError("normalized flag set but trace != 1")
@@ -228,38 +230,69 @@ def _occupied_sectors(space: FockSpace, matrix: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Raw-matrix engine.  The public operations below wrap these with validated
 # DensityOperator construction; internal hot paths (which may push non-PSD
-# operator-basis elements through the same circuits) use them directly.
+# operator-basis elements through the same circuits) use them directly, and
+# validate only the object they return.
+#
+# Each raw operation is split into a plan and an apply step.  The plan holds
+# the index arrays of the operation, depends only on the spaces and modes
+# involved, and is built once per process by the same loop over the basis
+# that a direct implementation would run; plans live in bounded lru_caches
+# and are read-only.  The apply step is one vectorized scatter (unitary), one
+# np.add.at (partial trace) or one fancy-index += (tensor), with every entry
+# added in the loop's order, so the results are bit-identical to the loops.
 # ---------------------------------------------------------------------------
 
 
-def _tensor_raw(
-    space_a: FockSpace, a: np.ndarray, space_b: FockSpace, b: np.ndarray
-) -> tuple[FockSpace, np.ndarray]:
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=256)
+def _tensor_plan(space_a: FockSpace, space_b: FockSpace):
+    """Combined space and (row, col, ia, ja, ib, jb) of every product entry
+    a[ia, ja] * b[ib, jb] that lands inside it.  Each (row, col) occurs once."""
     space = FockSpace(
         space_a.num_modes + space_b.num_modes,
         max(space_a.total_cutoff, space_b.total_cutoff),
         max(space_a.mode_cutoff, space_b.mode_cutoff),
     )
-    out = np.zeros((space.dim, space.dim), dtype=complex)
     index = space.index
+    entries = []
     for ia, ta in enumerate(space_a.basis):
         for ib, tb in enumerate(space_b.basis):
             row = index.get(ta + tb)
             if row is None:
                 continue
             for ja, ua in enumerate(space_a.basis):
-                if a[ia, ja] == 0:
-                    continue
                 for jb, ub in enumerate(space_b.basis):
                     col = index.get(ua + ub)
                     if col is not None:
-                        out[row, col] += a[ia, ja] * b[ib, jb]
+                        entries.append((row, col, ia, ja, ib, jb))
+    return space, _frozen(*np.array(entries, dtype=np.intp).reshape(-1, 6).T.copy())
+
+
+def _tensor_raw(
+    space_a: FockSpace, a: np.ndarray, space_b: FockSpace, b: np.ndarray
+) -> tuple[FockSpace, np.ndarray]:
+    space, (rows, cols, ia, ja, ib, jb) = _tensor_plan(space_a, space_b)
+    x, y = a[ia, ja], b[ib, jb]
+    # the product in separately rounded real arithmetic, as numpy's complex
+    # scalars compute it; the vectorized complex multiply may fuse and round
+    # differently
+    prod = np.empty(len(rows), dtype=complex)
+    prod.real = x.real * y.real - x.imag * y.imag
+    prod.imag = x.real * y.imag + x.imag * y.real
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[rows, cols] += prod
     return space, out
 
 
-def _ptrace_raw(
-    space: FockSpace, matrix: np.ndarray, keep: tuple[int, ...]
-) -> tuple[FockSpace, np.ndarray]:
+@lru_cache(maxsize=256)
+def _ptrace_plan(space: FockSpace, keep: tuple[int, ...]):
+    """Reduced space and (i, j, ki, kj) of every term out[ki, kj] += m[i, j],
+    grouped by the traced modes' occupation in order of first appearance."""
     traced = tuple(m for m in range(space.num_modes) if m not in keep)
     out_space = FockSpace(len(keep), space.total_cutoff, space.mode_cutoff)
     groups: dict[Occupation, list[tuple[int, int]]] = {}
@@ -267,11 +300,19 @@ def _ptrace_raw(
         kept = tuple(occ[m] for m in keep)
         rest = tuple(occ[m] for m in traced)
         groups.setdefault(rest, []).append((i, out_space.index[kept]))
-    out = np.zeros((out_space.dim, out_space.dim), dtype=complex)
-    for members in groups.values():
-        for i, ki in members:
-            for j, kj in members:
-                out[ki, kj] += matrix[i, j]
+    terms = [
+        (i, j, ki, kj) for members in groups.values() for i, ki in members for j, kj in members
+    ]
+    return out_space, _frozen(*np.array(terms, dtype=np.intp).reshape(-1, 4).T.copy())
+
+
+def _ptrace_raw(
+    space: FockSpace, matrix: np.ndarray, keep: tuple[int, ...]
+) -> tuple[FockSpace, np.ndarray]:
+    """Partial trace onto ``keep``; leading axes of ``matrix`` are a stack."""
+    out_space, (i, j, ki, kj) = _ptrace_plan(space, keep)
+    out = np.zeros(matrix.shape[:-2] + (out_space.dim, out_space.dim), dtype=complex)
+    np.add.at(out, (..., ki, kj), matrix[..., i, j])
     return out_space, out
 
 
@@ -288,21 +329,29 @@ def _check_two_mode_unitary(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("mode-mixing matrix must be 2x2")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > TOL.unitarity:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= TOL.unitarity:
         raise ValueError("mode-mixing matrix is not unitary within tolerance")
     return u
 
 
-def _two_mode_blocks(u: np.ndarray, max_photons: int) -> list[np.ndarray]:
-    """Number-conserving blocks of the two-mode Fock unitary induced by u.
+def _two_mode_table(u: np.ndarray, max_photons: int) -> np.ndarray:
+    """Number-conserving blocks of the two-mode Fock unitary induced by u,
+    packed as table[n, p, k].
 
     Block n maps the (n+1)-dimensional sector spanned by |k, n-k>, indexed
-    by k = photons in the first mode.  Built by expanding the transformed
-    creation-operator polynomial (a_1^dag)^k (a_2^dag)^(n-k).
+    by k = photons in the first mode.  Tables are cached per unitary, keyed
+    on its dtype and bytes.
     """
-    blocks = []
+    return _two_mode_table_cached(u.dtype.str, u.tobytes(), max_photons)
+
+
+@lru_cache(maxsize=64)
+def _two_mode_table_cached(dtype: str, raw: bytes, max_photons: int) -> np.ndarray:
+    """Built by expanding the transformed creation-operator polynomial
+    (a_1^dag)^k (a_2^dag)^(n-k)."""
+    u = np.frombuffer(raw, dtype=dtype).reshape(2, 2)
+    table = np.zeros((max_photons + 1,) * 3, dtype=complex)
     for n in range(max_photons + 1):
-        block = np.zeros((n + 1, n + 1), dtype=complex)
         for k in range(n + 1):
             poly = np.zeros(n + 1, dtype=complex)  # poly[p]: coeff of x^p y^(n-p)
             for p in range(k + 1):
@@ -313,41 +362,67 @@ def _two_mode_blocks(u: np.ndarray, max_photons: int) -> list[np.ndarray]:
             norm_in = math.sqrt(math.factorial(k) * math.factorial(n - k))
             for p in range(n + 1):
                 norm_out = math.sqrt(math.factorial(p) * math.factorial(n - p))
-                block[p, k] = poly[p] * norm_out / norm_in
-        blocks.append(block)
-    return blocks
+                table[n, p, k] = poly[p] * norm_out / norm_in
+    table.setflags(write=False)
+    return table
+
+
+def _max_pair_photons(space: FockSpace) -> int:
+    return min(space.total_cutoff, 2 * space.mode_cutoff)
+
+
+@lru_cache(maxsize=256)
+def _unitary_plan(space: FockSpace, modes: tuple[int, int]):
+    """Where each table entry [n, p, k] of a unitary on ``modes`` lands:
+    (rows, cols) and its (n, p, k) for targets inside the space, and the
+    (n, p, k) of targets that a per-mode cutoff tighter than the total
+    cutoff leaves out."""
+    i, j = modes
+    index = space.index
+    present, missing = [], []
+    for col, occ in enumerate(space.basis):
+        n, k = occ[i] + occ[j], occ[i]
+        for p in range(n + 1):
+            target = list(occ)
+            target[i] = p
+            target[j] = n - p
+            row = index.get(tuple(target))
+            if row is None:
+                missing.append((n, p, k))
+            else:
+                present.append((row, col, n, p, k))
+    present = _frozen(*np.array(present, dtype=np.intp).reshape(-1, 5).T.copy())
+    missing = _frozen(*np.array(missing, dtype=np.intp).reshape(-1, 3).T.copy())
+    return present, missing
 
 
 def _embedded_unitary(space: FockSpace, modes: tuple[int, int], u: np.ndarray) -> np.ndarray:
     """Full-space matrix of a two-mode unitary acting on the given mode pair."""
-    i, j = modes
-    blocks = _two_mode_blocks(u, min(space.total_cutoff, 2 * space.mode_cutoff))
+    (rows, cols, n, p, k), missing = _unitary_plan(space, tuple(modes))
+    table = _two_mode_table(u, _max_pair_photons(space))
+    if np.any(np.abs(table[missing]) > TOL.support):
+        raise ValueError("per-mode cutoff overflow in two-mode unitary")
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    for col, occ in enumerate(space.basis):
-        n = occ[i] + occ[j]
-        block = blocks[n]
-        k = occ[i]
-        for p in range(n + 1):
-            amp = block[p, k]
-            if amp == 0:
-                continue
-            target = list(occ)
-            target[i] = p
-            target[j] = n - p
-            row = space.index.get(tuple(target))
-            if row is None:
-                # a target occupation can only be missing when the per-mode
-                # cutoff is tighter than the total cutoff
-                if abs(amp) > TOL.support:
-                    raise ValueError("per-mode cutoff overflow in two-mode unitary")
-                continue
-            out[row, col] = amp
+    out[rows, cols] = table[n, p, k]
     return out
 
 
-def _phase_vector(space: FockSpace, mode: int, phi: float) -> np.ndarray:
-    counts = np.array([occ[mode] for occ in space.basis])
-    return np.exp(-1j * phi * counts)
+def _unitary_raw(
+    space: FockSpace, matrix: np.ndarray, modes: tuple[int, int], u: np.ndarray
+) -> np.ndarray:
+    full = _embedded_unitary(space, modes, u)
+    return full @ matrix @ full.conj().T
+
+
+@lru_cache(maxsize=256)
+def _mode_counts(space: FockSpace, mode: int) -> np.ndarray:
+    (counts,) = _frozen(np.array([occ[mode] for occ in space.basis]))
+    return counts
+
+
+def _phase_raw(space: FockSpace, matrix: np.ndarray, mode: int, phi: float) -> np.ndarray:
+    d = np.exp(-1j * phi * _mode_counts(space, mode))
+    return d[:, None] * matrix * d.conj()[None, :]
 
 
 def _condition_raw(
@@ -418,14 +493,13 @@ def apply_two_mode_unitary(state, modes: tuple[int, int], u):
         space = state.space
         if not (0 <= i < space.num_modes and 0 <= j < space.num_modes):
             raise ValueError("mode index out of range")
-        blocks = _two_mode_blocks(u, min(space.total_cutoff, 2 * space.mode_cutoff))
+        table = _two_mode_table(u, _max_pair_photons(space))
         new: dict[Occupation, complex] = {}
         for occ, amp in state.amplitudes.items():
             n = occ[i] + occ[j]
-            block = blocks[n]
             k = occ[i]
             for p in range(n + 1):
-                coeff = block[p, k] * amp
+                coeff = table[n, p, k] * amp
                 if coeff == 0:
                     continue
                 target = list(occ)
@@ -442,8 +516,7 @@ def apply_two_mode_unitary(state, modes: tuple[int, int], u):
         space = state.space
         if not (0 <= i < space.num_modes and 0 <= j < space.num_modes):
             raise ValueError("mode index out of range")
-        full = _embedded_unitary(space, (i, j), u)
-        out = full @ state.matrix @ full.conj().T
+        out = _unitary_raw(space, state.matrix, (i, j), u)
         return DensityOperator(space, out, normalized=state.normalized)
     raise TypeError("state must be a PureState or DensityOperator")
 
@@ -461,8 +534,7 @@ def apply_phase_shift(state, mode: int, phi: float):
     if isinstance(state, DensityOperator):
         if not 0 <= mode < state.space.num_modes:
             raise ValueError("mode index out of range")
-        d = _phase_vector(state.space, mode, phi)
-        out = d[:, None] * state.matrix * d.conj()[None, :]
+        out = _phase_raw(state.space, state.matrix, mode, phi)
         return DensityOperator(state.space, out, normalized=state.normalized)
     raise TypeError("state must be a PureState or DensityOperator")
 

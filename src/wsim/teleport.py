@@ -30,17 +30,25 @@ import numpy as np
 
 from .circuits import bell_splitter, generate_w, symmetric_angles
 from .config import TOL
-from .detection import DetectorModel, _povm_weights, condition, povm_number, povm_onoff
+from .detection import (
+    DetectorModel,
+    _condition_outcomes_raw,
+    _povm_weights,
+    povm_number,
+    povm_onoff,
+)
 from .fock import (
     DensityOperator,
     FockSpace,
     PureState,
+    _check_two_mode_unitary,
     _condition_raw,
     _embedded_unitary,
     _pad_raw,
+    _phase_raw,
     _ptrace_raw,
-    apply_phase_shift,
-    apply_two_mode_unitary,
+    _tensor_plan,
+    _unitary_raw,
     tensor,
 )
 from .optimize import bisect_root, golden_section_max
@@ -317,10 +325,10 @@ def conditional_resource_closed_form(params: TeleportParams) -> DensityOperator:
     return DensityOperator(space, mat)
 
 
-def _event_assignments(event: BellEvent, params: TeleportParams) -> dict:
-    det = DetectorModel(params.eta)
+def _event_assignments(event: BellEvent, eta: float, kind: str) -> dict:
+    det = DetectorModel(eta)
     kc, kd = event.counts
-    if params.detector_kind == "number":
+    if kind == "number":
         return {0: povm_number(kc, det), 1: povm_number(kd, det)}
     return {0: povm_onoff(kc > 0, det), 1: povm_onoff(kd > 0, det)}
 
@@ -331,16 +339,24 @@ def bob_state(event, qubit: UnknownQubit, params: TeleportParams) -> DensityOper
     Pipeline: qubit tensor resource -> splitter on (qubit, Alice) ->
     detector conditioning on both outputs -> Bob's pi correction for the
     one-photon-at-d event.  The trace is the event probability.
+
+    The tensor product is the public, validated one, so its photon-cutoff
+    overflow check runs; the splitter, the conditioning and the correction
+    then run on its matrix through the raw engine, and Bob's state is
+    validated once, at return.
     """
     event = _as_event(event)
     if event not in ADVANTAGEOUS:
         raise ValueError(f"{event.name} does not herald a teleported state")
     probe = tensor(qubit.state().to_density(), conditional_resource(params))
-    probe = apply_two_mode_unitary(probe, (0, 1), bell_splitter(params.theta))
-    probe = condition(probe, _event_assignments(event, params))
+    u = _check_two_mode_unitary(bell_splitter(params.theta))
+    mat = _unitary_raw(probe.space, probe.matrix, (0, 1), u)
+    space, mat = _condition_outcomes_raw(
+        probe.space, mat, _event_assignments(event, params.eta, params.detector_kind)
+    )
     if event is BellEvent.D01:
-        probe = apply_phase_shift(probe, 0, math.pi)
-    return probe
+        mat = _phase_raw(space, mat, 0, math.pi)
+    return DensityOperator(space, mat)
 
 
 def bob_state_closed_form(
@@ -377,39 +393,18 @@ def bob_state_closed_form(
 # and their Bloch averages follow from fixed moments of the amplitudes.
 # ---------------------------------------------------------------------------
 
+# The operator basis |j><k| is stacked in the order (0,0), (0,1), (1,0),
+# (1,1), i.e. slot 2j + k; every kernel stack below uses that order.
+
+
 @lru_cache(maxsize=1)
-def _joint_index_maps():
-    joint, res = _JOINT_SPACE, _RESOURCE_SPACE
-    tensor_maps = {}
-    for j in (0, 1):
-        for k in (0, 1):
-            rows, cols, r_rows, r_cols = [], [], [], []
-            for ib, tb in enumerate(res.basis):
-                row = joint.index.get((j,) + tb)
-                if row is None:
-                    continue
-                for jb, ub in enumerate(res.basis):
-                    col = joint.index.get((k,) + ub)
-                    if col is None:
-                        continue
-                    rows.append(row)
-                    cols.append(col)
-                    r_rows.append(ib)
-                    r_cols.append(jb)
-            tensor_maps[(j, k)] = tuple(np.array(a) for a in (rows, cols, r_rows, r_cols))
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, occ in enumerate(joint.basis):
-        groups.setdefault((occ[0], occ[1]), []).append((i, occ[2]))
-    pi, pj, pk, pl = [], [], [], []
-    for members in groups.values():
-        for i, ki in members:
-            for jdx, kj in members:
-                pi.append(i)
-                pj.append(jdx)
-                pk.append(ki)
-                pl.append(kj)
-    ptrace_map = tuple(np.array(a) for a in (pi, pj, pk, pl))
-    return tensor_maps, ptrace_map
+def _operator_basis_maps() -> tuple[np.ndarray, ...]:
+    """(slot, row, col, resource row, resource col) placing the resource
+    into the joint space next to each qubit basis element |j><k|; taken
+    from the tensor plan of the qubit mode with the resource."""
+    _, (rows, cols, ia, ja, ib, jb) = _tensor_plan(FockSpace(1), _RESOURCE_SPACE)
+    sel = (ia < 2) & (ja < 2)
+    return 2 * ia[sel] + ja[sel], rows[sel], cols[sel], ib[sel], jb[sel]
 
 
 @lru_cache(maxsize=4096)
@@ -420,49 +415,43 @@ def _bell_unitary(theta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _event_weight_sqrt(eta: float, kind: str, kc: int, kd: int) -> np.ndarray:
-    det = DetectorModel(eta)
-    if kind == "number":
-        ec = povm_number(kc, det).entries
-        ed = povm_number(kd, det).entries
-    else:
-        ec = povm_onoff(kc > 0, det).entries
-        ed = povm_onoff(kd > 0, det).entries
-    w = np.sqrt([ec[occ[0]] * ed[occ[1]] for occ in _JOINT_SPACE.basis])
+def _event_weight_sqrt(event: BellEvent, eta: float, kind: str) -> np.ndarray:
+    w = np.sqrt(_povm_weights(_JOINT_SPACE, _event_assignments(event, eta, kind)))
     w.setflags(write=False)
     return w
 
 
-def _transported(params: TeleportParams) -> dict:
-    """The four operator-basis inputs pushed through tensor + splitter."""
+def _transported(params: TeleportParams, thetas=None) -> np.ndarray:
+    """The four operator-basis inputs pushed through tensor + splitter, as a
+    (4, 10, 10) stack at params.theta, or (len(thetas), 4, 10, 10) with one
+    leading entry per splitter angle in ``thetas``."""
     resource = conditional_resource(params).matrix
-    tensor_maps, _ = _joint_index_maps()
-    u = _bell_unitary(params.theta)
-    out = {}
-    for jk, (rows, cols, r_rows, r_cols) in tensor_maps.items():
-        t = np.zeros((_JOINT_SPACE.dim, _JOINT_SPACE.dim), dtype=complex)
-        t[rows, cols] = resource[r_rows, r_cols]
-        out[jk] = u @ t @ u.conj().T
-    return out
+    slot, rows, cols, r_rows, r_cols = _operator_basis_maps()
+    dim = _JOINT_SPACE.dim
+    t = np.zeros((4, dim, dim), dtype=complex)
+    t[slot, rows, cols] = resource[r_rows, r_cols]
+    if thetas is None:
+        u = _bell_unitary(params.theta)
+    else:
+        u = np.stack([_bell_unitary(float(theta)) for theta in thetas])[:, None]
+    return u @ t @ u.conj().swapaxes(-1, -2)
 
 
-def _condition_kernels(mats: dict, params: TeleportParams, event: BellEvent, flip: bool) -> dict:
-    _, (pi, pj, pk, pl) = _joint_index_maps()
-    kc, kd = event.counts
-    sqw = _event_weight_sqrt(params.eta, params.detector_kind, kc, kd)
-    out = {}
-    for jk, m in mats.items():
-        weighted = sqw[:, None] * m * sqw[None, :]
-        k = np.zeros((3, 3), dtype=complex)
-        np.add.at(k, (pk, pl), weighted[pi, pj])
-        if flip:
-            k[1, :] *= -1.0
-            k[:, 1] *= -1.0
-        out[jk] = k
-    return out
+def _condition_kernels(
+    mats: np.ndarray, params: TeleportParams, event: BellEvent, flip: bool
+) -> np.ndarray:
+    """Condition a stack from _transported on the event and trace out
+    Alice's modes: the matching stack of 3x3 kernels on Bob's mode."""
+    sqw = _event_weight_sqrt(event, params.eta, params.detector_kind)
+    weighted = sqw[:, None] * mats * sqw[None, :]
+    _, k = _ptrace_raw(_JOINT_SPACE, weighted, (2,))
+    if flip:
+        k[..., 1, :] *= -1.0
+        k[..., :, 1] *= -1.0
+    return k
 
 
-def _bob_kernels(params: TeleportParams, event: BellEvent) -> dict:
+def _bob_kernels(params: TeleportParams, event: BellEvent) -> np.ndarray:
     return _condition_kernels(
         _transported(params), params, event, flip=event is BellEvent.D01
     )
@@ -470,8 +459,8 @@ def _bob_kernels(params: TeleportParams, event: BellEvent) -> dict:
 
 # Bloch moments of the amplitude monomials appearing in the fidelity:
 # <|a|^4> = <|b|^4> = 1/3 and <|a|^2 |b|^2> = 1/6 (|a|^2 is uniform on [0, 1]).
-def _event_integrals(kernels: dict) -> tuple[float, float]:
-    k11, k10, k01, k00 = kernels[(1, 1)], kernels[(1, 0)], kernels[(0, 1)], kernels[(0, 0)]
+def _event_integrals(kernels: np.ndarray) -> tuple[float, float]:
+    k00, k01, k10, k11 = kernels
     int_f = (k11[1, 1] + k00[0, 0]) / 3.0 + (
         k11[0, 0] + k00[1, 1] + k10[1, 0] + k01[0, 1]
     ) / 6.0
@@ -479,25 +468,27 @@ def _event_integrals(kernels: dict) -> tuple[float, float]:
     return float(int_f.real), float(int_p.real)
 
 
-def _sample_values(kernels: dict, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized fidelity and probability for arrays of qubit amplitudes."""
-    coeffs = {
-        (1, 1): np.abs(a) ** 2,
-        (1, 0): a * b,
-        (0, 1): np.conj(a) * b,
-        (0, 0): b * b,
-    }
-    f = np.zeros(a.shape, dtype=complex)
-    p = np.zeros(a.shape, dtype=complex)
-    for jk, k in kernels.items():
-        inner = (
-            np.abs(a) ** 2 * k[1, 1]
-            + np.conj(a) * b * k[1, 0]
-            + a * b * k[0, 1]
-            + b * b * k[0, 0]
-        )
-        f += coeffs[jk] * inner
-        p += coeffs[jk] * np.trace(k)
+def _sampled_monomials(rng: np.random.Generator, size: int) -> tuple[np.ndarray, ...]:
+    """Draw ``size`` qubits a|1> + b|0> uniformly on the Bloch sphere and
+    return the coefficient of each operator-basis slot: b b, conj(a) b,
+    a b, |a|^2."""
+    x = rng.uniform(-1.0, 1.0, size)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size)
+    a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
+    b = np.sqrt((1.0 - x) / 2.0)
+    return b * b, np.conj(a) * b, a * b, np.abs(a) ** 2
+
+
+def _sample_values(kernels: np.ndarray, monomials: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized fidelity and probability of sampled qubits, given their
+    amplitude monomials from _sampled_monomials."""
+    bb, cab, ab, aa = monomials
+    f = np.zeros(aa.shape, dtype=complex)
+    p = np.zeros(aa.shape, dtype=complex)
+    for coeff, k in zip(monomials, kernels):
+        inner = aa * k[1, 1] + cab * k[1, 0] + ab * k[0, 1] + bb * k[0, 0]
+        f += coeff * inner
+        p += coeff * np.trace(k)
     return f.real, p.real
 
 
@@ -580,15 +571,11 @@ def mc_averaged(
     ]
     sum_f = sum_p = sum_ff = sum_pp = sum_fp = 0.0
     for seq, size in zip(np.random.SeedSequence(seed).spawn(chunks), sizes):
-        rng = np.random.default_rng(seq)
-        x = rng.uniform(-1.0, 1.0, size)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size)
-        a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
-        b = np.sqrt((1.0 - x) / 2.0)
+        monomials = _sampled_monomials(np.random.default_rng(seq), size)
         f = np.zeros(size)
         p = np.zeros(size)
         for kernels in event_kernels:
-            df, dp = _sample_values(kernels, a, b)
+            df, dp = _sample_values(kernels, monomials)
             f += df
             p += dp
         sum_f += f.sum()
@@ -720,6 +707,9 @@ def critical_eta_bisection(n: int, m: int) -> float:
     return bisect_root(gap, lo, 1.0, tol=TOL.bisection)
 
 
+_ANGLE_BLOCK = 125
+
+
 def nonadvantageous_bound(
     n: int, m: int, eta: float, n_theta: int = 1000, n_phase: int = 64
 ) -> dict[BellEvent, float]:
@@ -735,23 +725,24 @@ def nonadvantageous_bound(
         sorted({0.0, math.pi} | {2.0 * math.pi * k / n_phase for k in range(n_phase)})
     )
     rot = np.exp(-1j * phases)
+    thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
     best = {event: 0.0 for event in REJECTED}
-    for theta in np.linspace(0.0, math.pi / 2.0, n_theta):
-        params = dataclasses.replace(base, theta=float(theta))
-        mats = _transported(params)
+    # angles go through in blocks so that the stacks stay a few MB
+    for start in range(0, n_theta, _ANGLE_BLOCK):
+        mats = _transported(base, thetas[start : start + _ANGLE_BLOCK])
         for event in REJECTED:
-            kernels = _condition_kernels(mats, params, event, flip=False)
-            k11, k10 = kernels[(1, 1)], kernels[(1, 0)]
-            k01, k00 = kernels[(0, 1)], kernels[(0, 0)]
-            int_p = float(np.real(np.trace(k11) + np.trace(k00))) / 2.0
-            if int_p < 1e-14:
-                continue
+            kernels = _condition_kernels(mats, base, event, flip=False)
+            k00, k01, k10, k11 = np.moveaxis(kernels, 1, 0)
+            int_p = np.real(np.trace(k11, axis1=1, axis2=2) + np.trace(k00, axis1=1, axis2=2))
+            int_p = int_p / 2.0
             # Bob's phase rotates only the two cross moments
-            static = float(
-                np.real(
-                    (k11[1, 1] + k00[0, 0]) / 3.0 + (k11[0, 0] + k00[1, 1]) / 6.0
-                )
+            static = np.real(
+                (k11[:, 1, 1] + k00[:, 0, 0]) / 3.0 + (k11[:, 0, 0] + k00[:, 1, 1]) / 6.0
             )
-            swept = static + np.real(rot * k10[1, 0] + np.conj(rot) * k01[0, 1]) / 6.0
-            best[event] = max(best[event], float(np.max(swept)) / int_p)
+            swept = static[:, None] + np.real(
+                rot * k10[:, 1, 0, None] + np.conj(rot) * k01[:, 0, 1, None]
+            ) / 6.0
+            live = int_p >= 1e-14
+            reached = np.max(swept, axis=1)[live] / int_p[live]
+            best[event] = max(best[event], float(np.max(reached, initial=0.0)))
     return best

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import WCoefficients, w_state_from_coefficients
+from .circuits import WCoefficients, _as_coefficients, w_state_from_coefficients
 from .config import TOL
 from .detection import DetectorModel, lossy_moments
 from .fock import DensityOperator, FockSpace, _pad_raw, _ptrace_raw
@@ -69,12 +69,6 @@ class WitnessScanReport:
 
 
 _PAIR_SPACE = FockSpace(2)
-
-
-def _as_coefficients(w) -> WCoefficients:
-    if isinstance(w, WCoefficients):
-        return w
-    return WCoefficients(tuple(w))
 
 
 def reduced_pair(w, i: int, j: int) -> DensityOperator:

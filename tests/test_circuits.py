@@ -36,6 +36,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             WCoefficients((0.5, 0.5))
 
+    def test_coefficients_reject_nan(self):
+        with pytest.raises(ValueError):
+            WCoefficients((float("nan"), 1.0))
+
     def test_angle_range_validated(self):
         with pytest.raises(ValueError):
             SplitterAngles((math.pi,))

@@ -55,6 +55,12 @@ class TestWstate:
         assert code == 2
         assert "error:" in err
 
+    def test_nan_coefficients_fail(self, capsys):
+        code, out, err = run(capsys, ["wstate", "--coeffs", "nan,1"])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_source_is_exclusive(self, capsys):
         code, _, err = run(
             capsys, ["wstate", "--symmetric", "3", "--coeffs", "1,0"]

@@ -9,6 +9,7 @@ from wsim import (
     DensityOperator,
     DetectorModel,
     FockSpace,
+    PovmElement,
     PureState,
     condition,
     fock_state,
@@ -47,6 +48,10 @@ class TestPovmElements:
         eta = 0.7
         elem = povm_onoff(True, DetectorModel(eta))
         assert elem.entries == pytest.approx((0.0, eta, 1.0 - (1.0 - eta) ** 2))
+
+    def test_povm_element_rejects_nan(self):
+        with pytest.raises(ValueError):
+            PovmElement((1.0, float("nan"), 0.0), label="nan")
 
     def test_count_beyond_cutoff_rejected(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,14 @@ class TestStates:
         with pytest.raises(ValueError):
             DensityOperator(FockSpace(2), 2.0 * np.eye(6, dtype=complex))
 
+    def test_density_rejects_nan(self):
+        with pytest.raises(ValueError):
+            DensityOperator(FockSpace(1, 1), np.full((2, 2), np.nan))
+
+    def test_pure_state_rejects_nan(self):
+        with pytest.raises(ValueError):
+            PureState(FockSpace(2), {(0, 1): float("nan")})
+
 
 class TestSplitters:
     def test_single_photon_balanced(self):

@@ -148,6 +148,13 @@ class TestBoundedCaches:
             teleport._conditional_resource_cached,
             teleport._event_weight_sqrt,
             fock._basis_tables,
+            fock._tensor_plan,
+            fock._ptrace_plan,
+            fock._unitary_plan,
+            fock._two_mode_table_cached,
+            fock._mode_counts,
+            teleport._operator_basis_maps,
+            teleport._bell_unitary,
         ],
     )
     def test_cache_has_a_bound(self, cached):
