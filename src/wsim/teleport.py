@@ -144,14 +144,14 @@ class TeleportParams:
 
 @dataclass(frozen=True)
 class UnknownQubit:
-    """Single-rail qubit a|1> + b|0| with |a|^2 + |b|^2 = 1."""
+    """Single-rail qubit a|1> + b|0> with |a|^2 + |b|^2 = 1."""
 
     a: complex
     b: complex
 
     def __post_init__(self) -> None:
         a, b = complex(self.a), complex(self.b)
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > TOL.norm:
+        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= TOL.norm:
             raise ValueError("qubit amplitudes are not normalized")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -204,24 +204,34 @@ def onoff_excess(eta: float, theta: float) -> float:
     return 2.0 * eta * (math.sin(theta) * math.cos(theta)) ** 2
 
 
-def _event_background(params: TeleportParams, event: BellEvent) -> float:
+def _event_background(
+    params: TeleportParams, event: BellEvent, theta: float | None = None
+) -> float:
+    """R_e at the splitter angle ``theta`` (default params.theta)."""
+    if theta is None:
+        theta = params.theta
     # after Bob's correction the d-side event sees the complementary angle;
     # the on-off excess is symmetric under that swap
-    angle = params.theta if event is BellEvent.D10 else params.theta + math.pi / 2
+    angle = theta if event is BellEvent.D10 else theta + math.pi / 2
     r = vacuum_weight(params.N, params.m, params.eta, angle)
     if params.detector_kind == "onoff":
-        r += onoff_excess(params.eta, params.theta)
+        r += onoff_excess(params.eta, theta)
     return r
 
 
-def _closed_integrals(params: TeleportParams) -> tuple[float, float]:
-    """(numerator, denominator) of the averaged fidelity: sums over events of
-    the Bloch-averaged unnormalized fidelity and event probability, both in
-    units of eta/(2N)."""
-    s2 = math.sin(2.0 * params.theta)
+def _closed_integrals(
+    params: TeleportParams, theta: float | None = None
+) -> tuple[float, float]:
+    """(numerator, denominator) of the averaged fidelity at the splitter
+    angle ``theta`` (default params.theta): sums over events of the
+    Bloch-averaged unnormalized fidelity and event probability, both in
+    units of eta/(2N).  The angle must already be checked."""
+    if theta is None:
+        theta = params.theta
+    s2 = math.sin(2.0 * theta)
     num = den = 0.0
     for event in params.events:
-        r = _event_background(params, event)
+        r = _event_background(params, event, theta)
         num += (2.0 + s2 + r) / 3.0
         den += 1.0 + r
     return num, den
@@ -248,9 +258,34 @@ def averaged_fidelity_probability(params: TeleportParams) -> TeleportReport:
     )
 
 
-def _fbar(params: TeleportParams) -> float:
-    num, den = _closed_integrals(params)
+def _fbar(params: TeleportParams, theta: float | None = None) -> float:
+    num, den = _closed_integrals(params, theta)
     return num / den
+
+
+def averaged_fidelity_curve(params: TeleportParams, thetas) -> np.ndarray:
+    """Closed-form Bloch-averaged fidelity at each splitter angle in
+    ``thetas`` (a 1-D sequence); ``params.theta`` is ignored.
+
+    Every value equals, bit for bit, the ``avg_fidelity`` of
+    averaged_fidelity_probability at ``dataclasses.replace(params,
+    theta=t)``, without building a parameter object or a report per
+    angle.  Each angle is checked against the TeleportParams bound and
+    the curve against the TeleportReport bound; ValueError otherwise.
+    """
+    grid = np.asarray(thetas, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("splitter angles must form a 1-D sequence")
+    grid = grid.tolist()
+    for theta in grid:
+        if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+            raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
+    # math.sin/cos in a scalar loop, not numpy ufuncs: those may round the
+    # last bit differently, and the curve must match the per-angle reports
+    curve = np.array([_fbar(params, theta) for theta in grid], dtype=float)
+    if not np.all((-TOL.norm <= curve) & (curve <= 1.0 + TOL.norm)):
+        raise ValueError("average fidelity outside [0, 1]")
+    return curve
 
 
 def event_probability_closed_form(
@@ -451,10 +486,15 @@ def _condition_kernels(
     return k
 
 
-def _bob_kernels(params: TeleportParams, event: BellEvent) -> np.ndarray:
-    return _condition_kernels(
-        _transported(params), params, event, flip=event is BellEvent.D01
-    )
+def _bob_kernels(
+    params: TeleportParams, event: BellEvent, mats: np.ndarray | None = None
+) -> np.ndarray:
+    """Bob's kernel stack for an accepted event; ``mats`` is
+    ``_transported(params)`` when the caller already holds it, so that
+    several events condition one stack."""
+    if mats is None:
+        mats = _transported(params)
+    return _condition_kernels(mats, params, event, flip=event is BellEvent.D01)
 
 
 # Bloch moments of the amplitude monomials appearing in the fidelity:
@@ -520,9 +560,10 @@ def simulate_averaged(
     code and must agree to rounding.
     """
     if method == "moments":
+        mats = _transported(params)
         sum_f = sum_p = 0.0
         for event in params.events:
-            int_f, int_p = _event_integrals(_bob_kernels(params, event))
+            int_f, int_p = _event_integrals(_bob_kernels(params, event, mats))
             sum_f += int_f
             sum_p += int_p
         return float(sum_f / sum_p), float(sum_p)
@@ -565,7 +606,8 @@ def mc_averaged(
     substreams and accumulated in chunk order, so the result depends only
     on (seed, n_samples, chunks), never on execution schedule.
     """
-    event_kernels = [_bob_kernels(params, e) for e in params.events]
+    mats = _transported(params)
+    event_kernels = [_bob_kernels(params, e, mats) for e in params.events]
     sizes = [
         n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)
     ]
@@ -658,7 +700,7 @@ def max_fidelity(
             report = dataclasses.replace(report, avg_fidelity=fmax, avg_probability=popt)
         return dataclasses.replace(report, optimal=True, theta_star=theta_star)
     theta_star, _ = golden_section_max(
-        lambda th: _fbar(dataclasses.replace(base, theta=th)),
+        lambda th: _fbar(base, th),
         0.0,
         math.pi / 2.0,
         tol=TOL.golden_section,

@@ -5,6 +5,10 @@ numerical route (or a second, structurally different simulation) and
 records the worst residual seen.  run_verification returns the full list
 of ClaimResult records in a fixed order; randomized claims draw from a
 single seeded generator so identical seeds reproduce identical records.
+The dense splitter-angle grids of the optimization claims evaluate the
+closed form through averaged_fidelity_curve, which equals the per-angle
+averaged_fidelity_probability bit for bit without building a parameter
+object or a report per angle.
 
 A caller-supplied tolerance replaces every claim's own default.  That is
 deliberately blunt: at extreme settings such as 1e-15 the genuinely tight
@@ -37,6 +41,7 @@ from .fock import DensityOperator, FockSpace
 from .teleport import (
     TeleportParams,
     UnknownQubit,
+    averaged_fidelity_curve,
     averaged_fidelity_probability,
     bob_state,
     bob_state_closed_form,
@@ -354,17 +359,15 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
     ]
     res_angle = 0.0
     res_value = 0.0
+    thetas = np.linspace(0.0, math.pi / 2.0, 2001)
     for n, m in grid:
         for eta in (0.3, 0.7, 1.0):
             base = TeleportParams(n, m, eta, 0.0)
 
             def fidelity_at(t: float) -> float:
-                return averaged_fidelity_probability(
-                    dataclasses.replace(base, theta=float(t))
-                ).avg_fidelity
+                return float(averaged_fidelity_curve(base, [t])[0])
 
-            thetas = np.linspace(0.0, math.pi / 2.0, 2001)
-            values = [fidelity_at(t) for t in thetas]
+            values = averaged_fidelity_curve(base, thetas)
             k = min(max(int(np.argmax(values)), 1), len(thetas) - 2)
             t_num = _refine_max(fidelity_at, float(thetas[k]), float(thetas[1] - thetas[0]))
             t_closed = optimal_theta(n, m, eta)
@@ -430,11 +433,8 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
     for n, m, eta in ((3, 1, 0.5), (4, 2, 0.8)):
         report = max_fidelity(n, m, eta, detector_kind="onoff")
         base = TeleportParams(n, m, eta, 0.0, "onoff")
-        grid_best = max(
-            averaged_fidelity_probability(
-                dataclasses.replace(base, theta=float(t))
-            ).avg_fidelity
-            for t in np.linspace(0.0, math.pi / 2.0, 10_001)
+        grid_best = float(
+            np.max(averaged_fidelity_curve(base, np.linspace(0.0, math.pi / 2.0, 10_001)))
         )
         res = max(res, max(0.0, grid_best - report.avg_fidelity))
     check(
@@ -482,6 +482,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
     )
 
     violation = 0.0
+    inner = np.linspace(0.05, math.pi / 2.0 - 0.05, 25)
     for n in (4, 7, 12):
         for eta in (0.5, 1.0):
             fids = [max_fidelity(n, m, eta).avg_fidelity for m in range(n - 1)]
@@ -492,15 +493,9 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
             single = max_fidelity(n, m, eta).avg_fidelity
             both = max_fidelity(n, m, eta, event_set="both").avg_fidelity
             violation = max(violation, both - single - 1e-15)
-            base_num = TeleportParams(n, m, eta, 0.0)
-            base_off = TeleportParams(n, m, eta, 0.0, "onoff")
-            for t in np.linspace(0.05, math.pi / 2.0 - 0.05, 25):
-                f_num = averaged_fidelity_probability(
-                    dataclasses.replace(base_num, theta=float(t))
-                ).avg_fidelity
-                f_off = averaged_fidelity_probability(
-                    dataclasses.replace(base_off, theta=float(t))
-                ).avg_fidelity
+            f_nums = averaged_fidelity_curve(TeleportParams(n, m, eta, 0.0), inner)
+            f_offs = averaged_fidelity_curve(TeleportParams(n, m, eta, 0.0, "onoff"), inner)
+            for f_num, f_off in zip(f_nums.tolist(), f_offs.tolist()):
                 if f_off >= f_num:
                     violation = max(violation, f_off - f_num + 1e-15)
     for m in (0, 1):

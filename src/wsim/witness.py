@@ -147,7 +147,7 @@ def witness_ratio_closed_form(alpha_i: complex, alpha_j: complex, det: DetectorM
     """
     a_i, a_j = complex(alpha_i), complex(alpha_j)
     p = abs(a_i) ** 2 + abs(a_j) ** 2
-    if p > 1.0 + TOL.norm:
+    if not p <= 1.0 + TOL.norm:
         raise ValueError("pair photon weight exceeds 1")
     eta = det.eta
     cross = a_i.conjugate() * a_j

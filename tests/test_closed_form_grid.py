@@ -1,0 +1,121 @@
+"""The closed-form fidelity curve over splitter angles.
+
+averaged_fidelity_curve must reproduce, bit for bit, the per-angle
+reports of averaged_fidelity_probability, reject every angle a
+TeleportParams would reject, and, like the per-angle closed form, agree
+with the exactly averaged simulated pipeline.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wsim import (
+    TeleportParams,
+    averaged_fidelity_curve,
+    averaged_fidelity_probability,
+    simulate_averaged,
+)
+from wsim import teleport
+from wsim.config import TOL
+
+HALF_PI = math.pi / 2.0
+
+efficiencies = st.one_of(st.just(1e-9), st.just(1.0), st.floats(1e-9, 1.0))
+angles = st.one_of(st.just(0.0), st.just(HALF_PI), st.floats(0.0, HALF_PI))
+
+
+@st.composite
+def teleport_params(draw, theta=st.just(0.0)):
+    n = draw(st.integers(2, 10))
+    m = draw(st.one_of(st.just(n - 2), st.integers(0, n - 2)))
+    return TeleportParams(
+        n,
+        m,
+        draw(efficiencies),
+        draw(theta),
+        draw(st.sampled_from(["number", "onoff"])),
+        draw(st.sampled_from(["D10", "D01", "both"])),
+    )
+
+
+def per_angle(params, grid):
+    return np.array(
+        [
+            averaged_fidelity_probability(dataclasses.replace(params, theta=t)).avg_fidelity
+            for t in grid
+        ]
+    )
+
+
+class TestCurveEqualsReports:
+    @settings(max_examples=80, deadline=None)
+    @given(params=teleport_params(), inner=st.lists(angles, max_size=40))
+    def test_bit_identical(self, params, inner):
+        grid = [0.0, *inner, HALF_PI]
+        assert np.array_equal(averaged_fidelity_curve(params, grid), per_angle(params, grid))
+
+    def test_linspace_grid_and_upper_slack(self):
+        params = TeleportParams(4, 1, 0.8, 0.3, "onoff", "both")
+        grid = np.append(np.linspace(0.0, HALF_PI, 2001), HALF_PI + 1e-12)
+        curve = averaged_fidelity_curve(params, grid)
+        assert curve.shape == grid.shape
+        assert np.array_equal(curve, per_angle(params, grid.tolist()))
+
+    def test_params_angle_is_ignored(self):
+        a = TeleportParams(5, 2, 0.6, 0.0)
+        b = dataclasses.replace(a, theta=1.1)
+        grid = [0.2, 0.9]
+        assert np.array_equal(averaged_fidelity_curve(a, grid), averaged_fidelity_curve(b, grid))
+
+
+bad_angles = st.one_of(
+    st.just(math.nan),
+    st.just(math.inf),
+    st.just(-math.inf),
+    st.floats(max_value=-1e-300, allow_nan=False),
+    st.floats(min_value=HALF_PI + 1e-11, allow_nan=False),
+)
+
+
+class TestCurveRejects:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=teleport_params(),
+        good=st.lists(angles, max_size=10),
+        bad=bad_angles,
+        where=st.integers(0, 10),
+    )
+    def test_bad_angle_raises(self, params, good, bad, where):
+        grid = list(good)
+        grid.insert(min(where, len(grid)), bad)
+        with pytest.raises(ValueError):
+            averaged_fidelity_curve(params, grid)
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, theta=bad)
+
+    def test_grid_must_be_one_dimensional(self):
+        with pytest.raises(ValueError):
+            averaged_fidelity_curve(TeleportParams(3, 0, 1.0, 0.0), [[0.1, 0.2]])
+
+    def test_curve_outside_unit_interval_raises(self, monkeypatch):
+        monkeypatch.setattr(teleport, "_fbar", lambda params, theta=None: 1.5)
+        with pytest.raises(ValueError):
+            averaged_fidelity_curve(TeleportParams(3, 0, 1.0, 0.0), [0.1])
+
+
+class TestClosedFormMatchesSimulation:
+    @settings(max_examples=80, deadline=None)
+    @given(params=teleport_params(theta=angles))
+    @example(params=TeleportParams(6, 4, 1e-9, 0.0, "number", "both"))
+    @example(params=TeleportParams(6, 4, 1e-9, HALF_PI, "onoff", "D01"))
+    @example(params=TeleportParams(2, 0, 1e-9, HALF_PI, "number", "D10"))
+    def test_moments_route(self, params):
+        report = averaged_fidelity_probability(params)
+        f_sim, p_sim = simulate_averaged(params, method="moments")
+        assert abs(report.avg_fidelity - f_sim) <= TOL.protocol_match
+        assert abs(report.avg_probability - p_sim) <= TOL.protocol_match

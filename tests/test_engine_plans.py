@@ -1,9 +1,10 @@
 """Index plans of the raw Fock engine and the stacked Bloch-kernel path.
 
 The planned operations must reproduce, bit for bit, the direct loops they
-replaced; those loops are kept here as reference oracles.  Trace
-preservation of the public unitary and phase operations is checked as a
-property over random states.
+replaced; those loops are kept here as reference oracles.  Preservation
+of the trace (density operators) and of the squared norm (pure states)
+under the public unitary and phase operations is checked as a property
+over random states.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from wsim import (
     DensityOperator,
     FockSpace,
+    PureState,
     TeleportParams,
     apply_phase_shift,
     apply_two_mode_unitary,
@@ -328,7 +330,37 @@ def psd_states(draw):
     return DensityOperator(_SPACE, scale * m / tr)
 
 
+@st.composite
+def pure_states(draw):
+    """A random pure state on a three-mode space, normalized or, flagged
+    as post-selected, with squared norm in (0, 1]."""
+    parts = draw(
+        st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+            min_size=2 * _SPACE.dim,
+            max_size=2 * _SPACE.dim,
+        )
+    )
+    v = np.array(parts[: _SPACE.dim]) + 1j * np.array(parts[_SPACE.dim :])
+    norm = np.linalg.norm(v)
+    if norm < 1e-3:
+        v, norm = np.eye(_SPACE.dim)[0].astype(complex), 1.0
+    scale = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+    amps = dict(zip(_SPACE.basis, math.sqrt(scale) * v / norm))
+    return PureState(_SPACE, amps, post_selected=scale != 1.0)
+
+
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
+
+
+def random_two_mode_unitary(theta, alpha, beta, gamma):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.exp(1j * gamma) * np.array(
+        [
+            [np.exp(1j * alpha) * c, np.exp(1j * beta) * s],
+            [-np.exp(-1j * beta) * s, np.exp(-1j * alpha) * c],
+        ]
+    )
 
 
 class TestTracePreservation:
@@ -342,13 +374,7 @@ class TestTracePreservation:
         gamma=angles,
     )
     def test_two_mode_unitary(self, rho, modes, theta, alpha, beta, gamma):
-        c, s = math.cos(theta), math.sin(theta)
-        u = np.exp(1j * gamma) * np.array(
-            [
-                [np.exp(1j * alpha) * c, np.exp(1j * beta) * s],
-                [-np.exp(-1j * beta) * s, np.exp(-1j * alpha) * c],
-            ]
-        )
+        u = random_two_mode_unitary(theta, alpha, beta, gamma)
         out = apply_two_mode_unitary(rho, modes, u)
         assert abs(out.trace() - rho.trace()) <= 1e-12
 
@@ -357,3 +383,25 @@ class TestTracePreservation:
     def test_phase_shift(self, rho, mode, phi):
         out = apply_phase_shift(rho, mode, phi)
         assert abs(out.trace() - rho.trace()) <= 1e-12
+
+
+class TestNormPreservation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        psi=pure_states(),
+        modes=st.permutations(range(3)).map(lambda p: (p[0], p[1])),
+        theta=angles,
+        alpha=angles,
+        beta=angles,
+        gamma=angles,
+    )
+    def test_two_mode_unitary(self, psi, modes, theta, alpha, beta, gamma):
+        u = random_two_mode_unitary(theta, alpha, beta, gamma)
+        out = apply_two_mode_unitary(psi, modes, u)
+        assert abs(out.norm_sq - psi.norm_sq) <= TOL.norm
+
+    @settings(max_examples=60, deadline=None)
+    @given(psi=pure_states(), mode=st.integers(0, 2), phi=st.floats(-10.0, 10.0))
+    def test_phase_shift(self, psi, mode, phi):
+        out = apply_phase_shift(psi, mode, phi)
+        assert abs(out.norm_sq - psi.norm_sq) <= TOL.norm

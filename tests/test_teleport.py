@@ -100,6 +100,11 @@ class TestQubit:
         with pytest.raises(ValueError):
             UnknownQubit(1.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.0), (1.0, complex("nan")), (float("inf"), 0.0)])
+    def test_non_finite_amplitudes_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            UnknownQubit(a, b)
+
     def test_from_bloch(self):
         q = UnknownQubit.from_bloch(math.pi / 2, 0.0)
         assert abs(q.a) == pytest.approx(1.0 / math.sqrt(2.0))

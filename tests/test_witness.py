@@ -85,6 +85,11 @@ class TestRatio:
         ratio = witness_ratio_closed_form(w.alphas[0], w.alphas[1], det)
         assert ratio < 1.0
 
+    @pytest.mark.parametrize("alpha", [float("nan"), complex(0.0, float("nan")), 1.5])
+    def test_invalid_pair_weight_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            witness_ratio_closed_form(alpha, 0.5, DetectorModel(0.5))
+
     def test_vanishing_efficiency_limit(self):
         w = coefficients_from_angles(symmetric_angles(3))
         ratio = witness_ratio_closed_form(w.alphas[0], w.alphas[1], DetectorModel(1e-6))
