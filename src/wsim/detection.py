@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -27,6 +28,9 @@ from .fock import (
     FockSpace,
     _check_two_mode_unitary,
     _condition_raw,
+    _embedded_unitary,
+    _frozen,
+    _mode_counts,
     _phase_raw,
     _tensor_raw,
     _unitary_raw,
@@ -149,13 +153,30 @@ def _require_two_mode_normalized(rho2: DensityOperator) -> None:
         raise ValueError("expected a normalized state")
 
 
+@lru_cache(maxsize=64)
+def _readout_unitary(space: FockSpace) -> np.ndarray:
+    """The balanced readout splitter on modes (0, 1), checked and embedded
+    into ``space`` once per space."""
+    balanced = _check_two_mode_unitary(bell_splitter(math.pi / 4))
+    (full,) = _frozen(_embedded_unitary(space, (0, 1), balanced))
+    return full
+
+
+@lru_cache(maxsize=64)
+def _count_vectors(space: FockSpace, modes: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """(n_i - n_j, n_i + n_j) of modes (i, j) over the basis of ``space``,
+    as floats, built once per space."""
+    n_i, n_j = _mode_counts(space, modes[0]), _mode_counts(space, modes[1])
+    return _frozen((n_i - n_j).astype(float), (n_i + n_j).astype(float))
+
+
 def _readout_raw(rho2: DensityOperator, phi: float) -> np.ndarray:
     """Raw matrix of a validated two-mode state after a phase phi on the
     second mode and a balanced splitter; the intermediates are not
     validated again."""
     probe = _phase_raw(rho2.space, rho2.matrix, 1, phi)
-    balanced = _check_two_mode_unitary(bell_splitter(math.pi / 4))
-    return _unitary_raw(rho2.space, probe, (0, 1), balanced)
+    full = _readout_unitary(rho2.space)
+    return full @ probe @ full.conj().T
 
 
 def _difference_statistics(rho2: DensityOperator, phi: float) -> tuple[float, float, float]:
@@ -166,8 +187,7 @@ def _difference_statistics(rho2: DensityOperator, phi: float) -> tuple[float, fl
     Returns (mean difference, variance of difference, mean total count).
     """
     diag = np.real(np.diag(_readout_raw(rho2, phi)))
-    d_vals = np.array([occ[0] - occ[1] for occ in rho2.space.basis], dtype=float)
-    n_vals = np.array([occ[0] + occ[1] for occ in rho2.space.basis], dtype=float)
+    d_vals, n_vals = _count_vectors(rho2.space, (0, 1))
     mean_d = float(diag @ d_vals)
     var_d = float(diag @ d_vals**2) - mean_d**2
     return mean_d, var_d, float(diag @ n_vals)
@@ -184,7 +204,8 @@ def lossy_moments(rho2: DensityOperator, det: DetectorModel) -> tuple[float, flo
     The input is already a validated DensityOperator, so the phase shifter
     and the splitter run on its matrix through the raw engine and no
     intermediate state is validated again; the same holds for
-    lossy_moments_ancilla and povm_moments.
+    lossy_moments_ancilla and povm_moments.  The readout splitter and the
+    count vectors of each space are checked and built once per process.
     """
     _require_two_mode_normalized(rho2)
     eta = det.eta
@@ -215,8 +236,7 @@ def lossy_moments_ancilla(rho2: DensityOperator, det: DetectorModel) -> tuple[fl
         big = _unitary_raw(space, big, (0, 2), loss)
         big = _unitary_raw(space, big, (1, 3), loss)
         diag = np.real(np.diag(big))
-        d_vals = np.array([occ[2] - occ[3] for occ in space.basis], dtype=float)
-        n_vals = np.array([occ[2] + occ[3] for occ in space.basis], dtype=float)
+        d_vals, n_vals = _count_vectors(space, (2, 3))
         mean_d = float(diag @ d_vals)
         out.append((float(diag @ d_vals**2) - mean_d**2) / 4.0)
         if phi == 0.0:

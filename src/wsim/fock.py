@@ -186,17 +186,7 @@ class DensityOperator:
         dim = self.space.dim
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match space dimension {dim}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > TOL.hermiticity:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        if dim > 0 and np.linalg.eigvalsh(m).min() < -TOL.positivity:
-            raise ValueError("matrix is not positive semidefinite within tolerance")
-        tr = m.trace()
-        if not -TOL.trace <= tr.real <= 1.0 + TOL.trace:
-            raise ValueError(f"trace {tr.real} outside [0, 1]")
-        if self.normalized and abs(tr.real - 1.0) > TOL.trace:
-            raise ValueError("normalized flag set but trace != 1")
+        _check_density_stack(m[None], self.normalized)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -214,17 +204,46 @@ class DensityOperator:
         return DensityOperator(self.space, self.matrix / tr, normalized=True)
 
 
-def _occupied_sectors(space: FockSpace, matrix: np.ndarray) -> int:
-    """Largest total photon number carried with non-negligible weight.
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _check_density_stack(matrices: np.ndarray, normalized: bool = False) -> None:
+    """The checks of DensityOperator on every matrix of a (..., dim, dim)
+    stack: finite, Hermitian, PSD and trace in [0, 1] (exactly 1 when
+    ``normalized``), each within its tolerance.  The first failing check
+    raises ValueError with the message DensityOperator gives for it."""
+    if not np.isfinite(matrices).all():
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max() > TOL.hermiticity:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    if matrices.shape[-1] > 0 and np.linalg.eigvalsh(matrices).min() < -TOL.positivity:
+        raise ValueError("matrix is not positive semidefinite within tolerance")
+    for tr in matrices.trace(axis1=-2, axis2=-1).real.ravel().tolist():
+        if not -TOL.trace <= tr <= 1.0 + TOL.trace:
+            raise ValueError(f"trace {tr} outside [0, 1]")
+        if normalized and abs(tr - 1.0) > TOL.trace:
+            raise ValueError("normalized flag set but trace != 1")
+
+
+@lru_cache(maxsize=256)
+def _photon_numbers(space: FockSpace) -> np.ndarray:
+    """Total photon number of each basis state, as floats."""
+    (numbers,) = _frozen(np.array([sum(occ) for occ in space.basis], dtype=float))
+    return numbers
+
+
+def _occupied_sectors(space: FockSpace, matrix: np.ndarray) -> np.ndarray:
+    """Largest total photon number carried with non-negligible weight, for
+    each matrix of a (..., dim, dim) stack.
 
     PSD operators have their support visible on the diagonal, so sectors
     whose diagonal entries all vanish contribute nothing.
     """
-    top = 0
-    for i, occ in enumerate(space.basis):
-        if matrix[i, i].real > TOL.support:
-            top = max(top, sum(occ))
-    return top
+    support = np.diagonal(matrix, axis1=-2, axis2=-1).real > TOL.support
+    return np.where(support, _photon_numbers(space), 0.0).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +259,16 @@ def _occupied_sectors(space: FockSpace, matrix: np.ndarray) -> int:
 # and are read-only.  The apply step is one vectorized scatter (unitary), one
 # np.add.at (partial trace) or one fancy-index += (tensor), with every entry
 # added in the loop's order, so the results are bit-identical to the loops.
+#
+# Every apply step also takes a stack: leading axes of the matrix (of the
+# first operand, for the tensor product) are carried through, and each slice
+# comes out bit-identical to the same operation on that slice alone.  A hot
+# path that runs many inputs through one circuit, such as teleport's
+# quadrature nodes, pays the fixed costs once per stack; it validates what
+# it returns with _check_density_stack, the validator DensityOperator itself
+# runs, so every slice gets the checks, tolerances and messages of a
+# DensityOperator.
 # ---------------------------------------------------------------------------
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
 
 
 @lru_cache(maxsize=256)
@@ -276,17 +298,30 @@ def _tensor_plan(space_a: FockSpace, space_b: FockSpace):
 def _tensor_raw(
     space_a: FockSpace, a: np.ndarray, space_b: FockSpace, b: np.ndarray
 ) -> tuple[FockSpace, np.ndarray]:
+    """Tensor product; leading axes of ``a`` are a stack, each slice taken
+    with the same ``b``."""
     space, (rows, cols, ia, ja, ib, jb) = _tensor_plan(space_a, space_b)
-    x, y = a[ia, ja], b[ib, jb]
+    x, y = a[..., ia, ja], b[ib, jb]
     # the product in separately rounded real arithmetic, as numpy's complex
     # scalars compute it; the vectorized complex multiply may fuse and round
     # differently
-    prod = np.empty(len(rows), dtype=complex)
+    prod = np.empty(x.shape, dtype=complex)
     prod.real = x.real * y.real - x.imag * y.imag
     prod.imag = x.real * y.imag + x.imag * y.real
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[rows, cols] += prod
+    out = np.zeros(a.shape[:-2] + (space.dim, space.dim), dtype=complex)
+    out[..., rows, cols] += prod
     return space, out
+
+
+def _tensor_checked(
+    space_a: FockSpace, a: np.ndarray, space_b: FockSpace, b: np.ndarray
+) -> tuple[FockSpace, np.ndarray]:
+    """_tensor_raw after tensor's photon-cutoff check, which runs on every
+    slice of a stack ``a``."""
+    cutoff = max(space_a.total_cutoff, space_b.total_cutoff)
+    if np.any(_occupied_sectors(space_a, a) + _occupied_sectors(space_b, b) > cutoff):
+        raise ValueError("tensor product exceeds the total-photon cutoff")
+    return _tensor_raw(space_a, a, space_b, b)
 
 
 @lru_cache(maxsize=256)
@@ -433,7 +468,7 @@ def _condition_raw(
     if keep:
         return _ptrace_raw(space, weighted, keep)
     out_space = FockSpace(0, space.total_cutoff, space.mode_cutoff)
-    return out_space, np.array([[weighted.trace()]])
+    return out_space, np.trace(weighted, axis1=-2, axis2=-1)[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +482,7 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     Raises if the combined photon support would exceed the total cutoff of
     the combined space — overflow is an error, never a silent truncation.
     """
-    space = FockSpace(
-        a.space.num_modes + b.space.num_modes,
-        max(a.space.total_cutoff, b.space.total_cutoff),
-        max(a.space.mode_cutoff, b.space.mode_cutoff),
-    )
-    if _occupied_sectors(a.space, a.matrix) + _occupied_sectors(b.space, b.matrix) > space.total_cutoff:
-        raise ValueError("tensor product exceeds the total-photon cutoff")
-    _, out = _tensor_raw(a.space, a.matrix, b.space, b.matrix)
+    space, out = _tensor_checked(a.space, a.matrix, b.space, b.matrix)
     return DensityOperator(space, out, normalized=a.normalized and b.normalized)
 
 

@@ -41,15 +41,16 @@ from .fock import (
     DensityOperator,
     FockSpace,
     PureState,
+    _check_density_stack,
     _check_two_mode_unitary,
     _condition_raw,
     _embedded_unitary,
     _pad_raw,
     _phase_raw,
     _ptrace_raw,
+    _tensor_checked,
     _tensor_plan,
     _unitary_raw,
-    tensor,
 )
 from .optimize import bisect_root, golden_section_max
 
@@ -313,13 +314,21 @@ def event_probability_closed_form(
 # ---------------------------------------------------------------------------
 
 
+_QUBIT_SPACE = FockSpace(1)
 _RESOURCE_SPACE = FockSpace(2)
 _JOINT_SPACE = FockSpace(3)
 
 
+@lru_cache(maxsize=32)
+def _symmetric_w_density(n: int) -> DensityOperator:
+    """The symmetric N-mode W state as a density, built once per N and
+    shared by the resources of every (m, eta)."""
+    return generate_w(symmetric_angles(n)).to_density()
+
+
 @lru_cache(maxsize=4096)
 def _conditional_resource_cached(n: int, m: int, eta: float) -> DensityOperator:
-    rho = generate_w(symmetric_angles(n)).to_density()
+    rho = _symmetric_w_density(n)
     space, mat = rho.space, rho.matrix
     if m:
         vac = povm_number(0, DetectorModel(eta))
@@ -375,23 +384,43 @@ def bob_state(event, qubit: UnknownQubit, params: TeleportParams) -> DensityOper
     detector conditioning on both outputs -> Bob's pi correction for the
     one-photon-at-d event.  The trace is the event probability.
 
-    The tensor product is the public, validated one, so its photon-cutoff
-    overflow check runs; the splitter, the conditioning and the correction
-    then run on its matrix through the raw engine, and Bob's state is
-    validated once, at return.
+    This is the one-qubit call of _bob_states, the pipeline that
+    simulate_averaged's quadrature runs on all of its nodes at once.
     """
     event = _as_event(event)
     if event not in ADVANTAGEOUS:
         raise ValueError(f"{event.name} does not herald a teleported state")
-    probe = tensor(qubit.state().to_density(), conditional_resource(params))
+    v = qubit.state().to_vector()
+    space, mats = _bob_states(event, np.outer(v, v.conj())[None], params)
+    return DensityOperator(space, mats[0])
+
+
+def _bob_states(
+    event: BellEvent, qubits: np.ndarray, params: TeleportParams
+) -> tuple[FockSpace, np.ndarray]:
+    """Bob's states for a (S, 3, 3) stack of normalized qubit densities on
+    the qubit mode, as the matching (S, 3, 3) stack; slice s is bit for bit
+    the matrix of bob_state for qubit s.
+
+    Every slice gets the checks of the one-qubit pipeline: the qubit
+    density, the tensor product with the resource and Bob's state are
+    validated as DensityOperators would be (_check_density_stack), and the
+    tensor product's photon-cutoff check runs per slice.  The splitter,
+    the conditioning and the correction run through the raw engine.
+    """
+    _check_density_stack(qubits, normalized=True)
+    resource = conditional_resource(params)
+    space, probe = _tensor_checked(_QUBIT_SPACE, qubits, resource.space, resource.matrix)
+    _check_density_stack(probe, normalized=resource.normalized)
     u = _check_two_mode_unitary(bell_splitter(params.theta))
-    mat = _unitary_raw(probe.space, probe.matrix, (0, 1), u)
+    mat = _unitary_raw(space, probe, (0, 1), u)
     space, mat = _condition_outcomes_raw(
-        probe.space, mat, _event_assignments(event, params.eta, params.detector_kind)
+        space, mat, _event_assignments(event, params.eta, params.detector_kind)
     )
     if event is BellEvent.D01:
         mat = _phase_raw(space, mat, 0, math.pi)
-    return DensityOperator(space, mat)
+    _check_density_stack(mat)
+    return space, mat
 
 
 def bob_state_closed_form(
@@ -437,7 +466,7 @@ def _operator_basis_maps() -> tuple[np.ndarray, ...]:
     """(slot, row, col, resource row, resource col) placing the resource
     into the joint space next to each qubit basis element |j><k|; taken
     from the tensor plan of the qubit mode with the resource."""
-    _, (rows, cols, ia, ja, ib, jb) = _tensor_plan(FockSpace(1), _RESOURCE_SPACE)
+    _, (rows, cols, ia, ja, ib, jb) = _tensor_plan(_QUBIT_SPACE, _RESOURCE_SPACE)
     sel = (ia < 2) & (ja < 2)
     return 2 * ia[sel] + ja[sel], rows[sel], cols[sel], ib[sel], jb[sel]
 
@@ -519,6 +548,9 @@ def _sampled_monomials(rng: np.random.Generator, size: int) -> tuple[np.ndarray,
     return b * b, np.conj(a) * b, a * b, np.abs(a) ** 2
 
 
+_SAMPLE_BLOCK = 16_384
+
+
 def _sample_values(kernels: np.ndarray, monomials: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized fidelity and probability of sampled qubits, given their
     amplitude monomials from _sampled_monomials."""
@@ -555,8 +587,10 @@ def simulate_averaged(
     """Bloch-averaged (fidelity, probability) of the simulated pipeline.
 
     method "moments" runs the pipeline on the qubit operator basis and
-    contracts with exact Bloch moments; "quadrature" runs one full
-    simulation per quadrature node.  The two routes share no averaging
+    contracts with exact Bloch moments; "quadrature" runs the full
+    simulation of bob_state at every quadrature node, all nodes of an
+    event as one stack through _bob_states, so that each node is checked
+    as a bob_state call would check it.  The two routes share no averaging
     code and must agree to rounding.
     """
     if method == "moments":
@@ -568,20 +602,23 @@ def simulate_averaged(
             sum_p += int_p
         return float(sum_f / sum_p), float(sum_p)
     if method == "quadrature":
+        if n_azimuth < 1:
+            raise ValueError(f"n_azimuth {n_azimuth} must be at least 1")
         xs, wx = np.polynomial.legendre.leggauss(n_polar)
-        sum_f = sum_p = 0.0
+        weights, targets = [], []
         for x, w in zip(xs, wx):
             theta_i = math.acos(float(np.clip(x, -1.0, 1.0)))
             for k in range(n_azimuth):
                 qubit = UnknownQubit.from_bloch(theta_i, 2.0 * math.pi * k / n_azimuth)
-                target = qubit.state()
-                weight = w / 2.0 / n_azimuth
-                for event in params.events:
-                    rho_b = bob_state(event, qubit, params)
-                    sum_f += weight * float(
-                        np.real(target.to_vector().conj() @ rho_b.matrix @ target.to_vector())
-                    )
-                    sum_p += weight * rho_b.trace()
+                weights.append(w / 2.0 / n_azimuth)
+                targets.append(qubit.state().to_vector())
+        qubits = np.stack([np.outer(v, v.conj()) for v in targets])
+        states = [_bob_states(event, qubits, params)[1] for event in params.events]
+        sum_f = sum_p = 0.0
+        for node, (weight, v) in enumerate(zip(weights, targets)):
+            for rho_b in states:
+                sum_f += weight * float(np.real(v.conj() @ rho_b[node] @ v))
+                sum_p += weight * float(rho_b[node].trace().real)
         return float(sum_f / sum_p), float(sum_p)
     raise ValueError(f"unknown averaging method {method!r}")
 
@@ -616,10 +653,14 @@ def mc_averaged(
         monomials = _sampled_monomials(np.random.default_rng(seq), size)
         f = np.zeros(size)
         p = np.zeros(size)
-        for kernels in event_kernels:
-            df, dp = _sample_values(kernels, monomials)
-            f += df
-            p += dp
+        # each sample's values depend on its own monomials only, so slices
+        # whose temporaries fit in cache give the same values
+        for start in range(0, size, _SAMPLE_BLOCK):
+            block = slice(start, start + _SAMPLE_BLOCK)
+            for kernels in event_kernels:
+                df, dp = _sample_values(kernels, tuple(x[block] for x in monomials))
+                f[block] += df
+                p[block] += dp
         sum_f += f.sum()
         sum_p += p.sum()
         sum_ff += (f * f).sum()

@@ -8,7 +8,14 @@ single seeded generator so identical seeds reproduce identical records.
 The dense splitter-angle grids of the optimization claims evaluate the
 closed form through averaged_fidelity_curve, which equals the per-angle
 averaged_fidelity_probability bit for bit without building a parameter
-object or a report per angle.
+object or a report per angle.  The sampled cross-checks pay their fixed
+costs once per stack, not once per sample: the quadrature claim sends all
+of a tuple's nodes through Bob's pipeline as one stack, each node
+validated as bob_state validates its result; the witness and detector
+claims reuse a readout splitter and count vectors built once per space;
+the resource claims build one W state per N; and the Monte Carlo claim
+evaluates its samples in cache-sized slices.  Every stacked or cached
+route equals the per-sample one bit for bit.
 
 A caller-supplied tolerance replaces every claim's own default.  That is
 deliberately blunt: at extreme settings such as 1e-15 the genuinely tight

@@ -23,7 +23,7 @@ import numpy as np
 from .circuits import WCoefficients, _as_coefficients, w_state_from_coefficients
 from .config import TOL
 from .detection import DetectorModel, lossy_moments
-from .fock import DensityOperator, FockSpace, _pad_raw, _ptrace_raw
+from .fock import DensityOperator, FockSpace, _pad_raw, _photon_numbers, _ptrace_raw
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class PairWitnessResult:
     note: str | None = None
 
     def __post_init__(self) -> None:
-        if abs(self.ratio - self.lhs / self.rhs) > TOL.exact_match:
+        if not abs(self.ratio - self.lhs / self.rhs) <= TOL.exact_match:
             raise ValueError("ratio field inconsistent with lhs/rhs")
         if self.violated != (self.ratio < 1.0 - TOL.violation):
             raise ValueError("violated flag inconsistent with ratio")
@@ -123,7 +123,7 @@ def witness_ratio_simulated(rho2: DensityOperator, det: DetectorModel) -> PairWi
     rhs = (1.0 + n_plus_meas) ** 2
     ratio = lhs / rhs
     diag = np.real(np.diag(rho2.matrix))
-    p = float(diag @ np.array([sum(occ) for occ in rho2.space.basis], dtype=float))
+    p = float(diag @ _photon_numbers(rho2.space))
     note = None
     if p <= TOL.support:
         note = "state carries no photon; the test is vacuous"

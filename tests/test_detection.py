@@ -1,9 +1,12 @@
 """Detector models: POVMs, conditioning, and lossy moment statistics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wsim import (
     DensityOperator,
@@ -23,6 +26,8 @@ from wsim import (
     w_state_from_coefficients,
 )
 from wsim.circuits import coefficients_from_angles
+from wsim.config import TOL
+from wsim.detection import _povm_weights
 
 
 def random_two_mode_state(rng):
@@ -188,3 +193,36 @@ class TestLossyMoments:
         rho = fock_state(FockSpace(1), (1,)).to_density()
         with pytest.raises(ValueError):
             lossy_moments(rho, DetectorModel(0.5))
+
+
+def outcome_families(eta):
+    det = DetectorModel(eta)
+    return {
+        "number": [povm_number(k, det) for k in range(3)],
+        "onoff": [povm_onoff(False, det), povm_onoff(True, det)],
+    }
+
+
+class TestPovmCompleteness:
+    @settings(max_examples=60, deadline=None)
+    @given(eta=st.floats(0.0, 1.0))
+    @example(eta=0.0)
+    @example(eta=1e-9)
+    @example(eta=1.0)
+    def test_elements_sum_to_identity(self, eta):
+        for family in outcome_families(eta).values():
+            total = np.sum([elem.entries for elem in family], axis=0)
+            assert np.max(np.abs(total - 1.0)) <= TOL.povm
+
+    @settings(max_examples=30, deadline=None)
+    @given(eta=st.floats(0.0, 1.0))
+    @example(eta=0.0)
+    @example(eta=1e-9)
+    @example(eta=1.0)
+    def test_joint_weights_sum_to_one(self, eta):
+        for family in outcome_families(eta).values():
+            for space in (FockSpace(2), FockSpace(3)):
+                total = np.zeros(space.dim)
+                for elems in itertools.product(family, repeat=space.num_modes):
+                    total += _povm_weights(space, dict(enumerate(elems)))
+                assert np.max(np.abs(total - 1.0)) <= TOL.povm

@@ -25,7 +25,7 @@ from wsim import (
     w_state_from_coefficients,
     witness_ratio_simulated,
 )
-from wsim import fock, teleport, witness
+from wsim import detection, fock, teleport, witness
 
 
 def random_coefficients(rng, n):
@@ -155,6 +155,10 @@ class TestBoundedCaches:
             fock._mode_counts,
             teleport._operator_basis_maps,
             teleport._bell_unitary,
+            teleport._symmetric_w_density,
+            detection._readout_unitary,
+            detection._count_vectors,
+            fock._photon_numbers,
         ],
     )
     def test_cache_has_a_bound(self, cached):

@@ -176,3 +176,10 @@ class TestResultValidation:
             PairWitnessResult(
                 pair=(0, 1), p_ij=0.5, lhs=1.0, rhs=2.0, ratio=0.9, violated=True
             )
+
+    @pytest.mark.parametrize("lhs, ratio", [(float("nan"), float("nan")), (1.0, float("nan"))])
+    def test_nan_ratio_rejected(self, lhs, ratio):
+        with pytest.raises(ValueError):
+            PairWitnessResult(
+                pair=None, p_ij=0.5, lhs=lhs, rhs=1.0, ratio=ratio, violated=False
+            )
