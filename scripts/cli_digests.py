@@ -10,7 +10,8 @@ the script once per source tree and diffing the two outputs checks that a
 change keeps the CLI tables byte-identical on this machine's numpy and BLAS.
 
 The commands are the three benchmark workloads (benchmarks/run.py) at seeds
-1-3 and ten README examples and sweeps.
+1-3, ten README examples and sweeps, and four lines that run the
+preparation chain with phases, a zero splitter angle and larger N.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ EXAMPLES = [
     "teleport --N 3,4,5,6,7,8 --critical-eta --detector onoff",
     "teleport --N 3,4 --optimize --detector onoff",
     "teleport --N 3,4,5 --critical-eta --detector onoff",
+    "wstate --coeffs=-0.5,0.5j,0.5,-0.5j",
+    "wstate --coeffs 0.6,0,0.8j",
+    "wstate --symmetric 64",
+    "teleport --N 64,128 --m 0,32 --eta 0.9 --theta 0.7",
 ]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .fock import FockSpace, PureState, apply_phase_shift, apply_two_mode_unitary, fock_state
+from .fock import FockSpace, PureState, _check_two_mode_unitary
 
 
 @dataclass(frozen=True)
@@ -159,29 +159,26 @@ def angles_from_coefficients(alphas) -> SplitterAngles:
 def generate_w(angles: SplitterAngles) -> PureState:
     """Run the chain on |1, 0, ..., 0> and apply the phase shifters.
 
-    The photon number is conserved, so the state lives in the one-photon
-    space ``FockSpace(N, 1)`` of dimension N + 1.
+    The photon number is conserved, so the chain runs on the photon's N
+    amplitudes, which transform by each splitter's matrix itself (fock's
+    convention): splitter j mixes (v[j], v[j+1]), one Givens rotation of a
+    Reck triangle, and the phase shifters act next.  The state is validated
+    once, at return, in the one-photon space ``FockSpace(N, 1)``.
     """
-    space = FockSpace(angles.num_modes, 1)
-    state = fock_state(space, (1,) + (0,) * (angles.num_modes - 1))
+    v = [1.0 + 0.0j] + [0j] * (angles.num_modes - 1)
     for j, theta in enumerate(angles.thetas):
-        state = apply_two_mode_unitary(state, (j, j + 1), splitter(theta))
-    for j, phi in enumerate(angles.phis):
-        if phi != 0.0:
-            state = apply_phase_shift(state, j, phi)
-    return state
+        u = _check_two_mode_unitary(splitter(theta))
+        a, b = v[j], v[j + 1]
+        v[j] = u[0, 0] * a + u[0, 1] * b
+        v[j + 1] = u[1, 0] * a + u[1, 1] * b
+    v = [a * np.exp(-1j * phi) for a, phi in zip(v, angles.phis)]
+    return w_state_from_coefficients(v)
 
 
 def w_state_from_coefficients(alphas) -> PureState:
     """Single-photon state sum_j alpha_j |0...1_j...0> built directly, in
     the one-photon space ``FockSpace(N, 1)`` of dimension N + 1."""
     w = _as_coefficients(alphas)
-    n = len(w)
-    space = FockSpace(n, 1)
-    amps = {}
-    for j, a in enumerate(w.alphas):
-        if a != 0:
-            occ = [0] * n
-            occ[j] = 1
-            amps[tuple(occ)] = a
-    return PureState(space, amps)
+    space = FockSpace(len(w), 1)
+    # the basis lists the vacuum, then the photon in the last mode first
+    return PureState(space, dict(zip(space.basis[:0:-1], w.alphas)))

@@ -34,6 +34,7 @@ from .circuits import (
 from .detection import DetectorModel
 from .teleport import (
     TeleportParams,
+    TeleportReport,
     averaged_fidelity_probability,
     critical_eta,
     max_fidelity,
@@ -179,22 +180,11 @@ def cmd_witness_scan(args) -> int:
                 ),
                 "ratio_sim": res.ratio,
                 "violated": res.violated,
-                "all_violated": None,
                 "note": res.note,
             }
         )
     rows.append(
-        {
-            "row_type": "summary",
-            "i": None,
-            "j": None,
-            "p_ij": None,
-            "ratio_closed": None,
-            "ratio_sim": None,
-            "violated": None,
-            "all_violated": report.all_violated,
-            "note": report.conclusion,
-        }
+        {"row_type": "summary", "all_violated": report.all_violated, "note": report.conclusion}
     )
     _emit(args, _WITNESS_HEADER, rows)
     return 0
@@ -219,19 +209,18 @@ _TELEPORT_HEADER = [
 ]
 
 
-def _sweep_row(task) -> dict:
-    n, m, eta, theta, detector, events = task
-    params = TeleportParams(n, m, eta, theta, detector, events)
-    report = averaged_fidelity_probability(params)
+def _report_row(row_type: str, report: TeleportReport) -> dict:
+    """A report's row, with the residual against the simulated moments."""
+    params = report.params
     f_sim, p_sim = simulate_averaged(params, method="moments")
     return {
-        "row_type": "sweep",
-        "N": n,
-        "m": m,
-        "eta": eta,
-        "theta": theta,
+        "row_type": row_type,
+        "N": params.N,
+        "m": params.m,
+        "eta": params.eta,
+        "theta": params.theta,
         "detector": params.detector_kind,
-        "events": events,
+        "events": params.event_set,
         "avg_fidelity": report.avg_fidelity,
         "avg_probability": report.avg_probability,
         "R": report.R_theta,
@@ -239,32 +228,17 @@ def _sweep_row(task) -> dict:
         "residual": max(
             abs(report.avg_fidelity - f_sim), abs(report.avg_probability - p_sim)
         ),
-        "critical_eta": None,
     }
+
+
+def _sweep_row(task) -> dict:
+    return _report_row("sweep", averaged_fidelity_probability(TeleportParams(*task)))
 
 
 def _optimize_row(task) -> dict:
     n, m, eta, detector, events = task
     report = max_fidelity(n, m, eta, detector_kind=detector, event_set=events)
-    params = report.params
-    f_sim, p_sim = simulate_averaged(params, method="moments")
-    return {
-        "row_type": "optimal",
-        "N": n,
-        "m": m,
-        "eta": eta,
-        "theta": report.theta_star,
-        "detector": params.detector_kind,
-        "events": events,
-        "avg_fidelity": report.avg_fidelity,
-        "avg_probability": report.avg_probability,
-        "R": report.R_theta,
-        "Rprime": report.Rprime_theta,
-        "residual": max(
-            abs(report.avg_fidelity - f_sim), abs(report.avg_probability - p_sim)
-        ),
-        "critical_eta": None,
-    }
+    return _report_row("optimal", report)
 
 
 def _critical_row(task) -> dict:
@@ -273,15 +247,7 @@ def _critical_row(task) -> dict:
         "row_type": "critical",
         "N": n,
         "m": m,
-        "eta": None,
-        "theta": None,
         "detector": detector,
-        "events": None,
-        "avg_fidelity": None,
-        "avg_probability": None,
-        "R": None,
-        "Rprime": None,
-        "residual": None,
         "critical_eta": critical_eta(n, m, detector),
     }
 

@@ -260,21 +260,21 @@ def povm_moments(
         outcomes = [(povm_onoff(False, det), 0.0), (povm_onoff(True, det), 1.0)]
     else:
         raise ValueError(f"unknown detector back-end {kind!r}")
+    joint = [
+        (_povm_weights(rho2.space, {0: elem_c, 1: elem_d}), val_c - val_d, val_c + val_d)
+        for elem_c, val_c in outcomes
+        for elem_d, val_d in outcomes
+    ]
     variances = []
     n_plus_meas = 0.0
     for phi in (0.0, math.pi / 2):
         diag = np.real(np.diag(_readout_raw(rho2, phi)))
         mean_d = mean_d2 = mean_n = 0.0
-        for elem_c, val_c in outcomes:
-            for elem_d, val_d in outcomes:
-                weights = np.array(
-                    [elem_c.entries[occ[0]] * elem_d.entries[occ[1]] for occ in rho2.space.basis]
-                )
-                p = float(diag @ weights)
-                d = val_c - val_d
-                mean_d += p * d
-                mean_d2 += p * d * d
-                mean_n += p * (val_c + val_d)
+        for weights, d, total in joint:
+            p = float(diag @ weights)
+            mean_d += p * d
+            mean_d2 += p * d * d
+            mean_n += p * total
         variances.append((mean_d2 - mean_d**2) / 4.0)
         if phi == 0.0:
             n_plus_meas = mean_n

@@ -12,9 +12,10 @@ Conventions fixed here and used everywhere else in the package:
   number state ``|n>`` picks up ``exp(-i phi n)``.
 
 Operators are plain complex numpy matrices indexed by the canonical basis;
-``number_matrix``, ``jx_matrix`` etc. build the ones needed elsewhere.
-Truncation is by total photon number; overflow raises instead of silently
-dropping amplitude.
+``number_matrix``, ``jx_matrix`` etc. build the ones needed elsewhere.  A
+PureState's amplitude vector and a density's matrix take the same plan
+route through each splitter and phase shifter.  Truncation is by total
+photon number; overflow raises instead of silently dropping amplitude.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -30,26 +32,22 @@ from .config import TOL
 Occupation = tuple[int, ...]
 
 
-def _occupations(num_modes: int, total: int, mode_cutoff: int):
-    """Yield tuples of length num_modes summing to total, lexicographically."""
-    if num_modes == 0:
-        if total == 0:
-            yield ()
-        return
-    for k in range(min(total, mode_cutoff) + 1):
-        for rest in _occupations(num_modes - 1, total - k, mode_cutoff):
-            yield (k,) + rest
-
-
 @lru_cache(maxsize=256)
 def _basis_tables(
     num_modes: int, total_cutoff: int, mode_cutoff: int
 ) -> tuple[tuple[Occupation, ...], dict[Occupation, int]]:
     """Basis and index of a space, enumerated once per process and shared
-    by every equal FockSpace."""
+    by every equal FockSpace.  The n-photon occupations count the labels
+    of each multiset of n mode labels; itertools lists those multisets in
+    the reverse of the lexicographic order of their occupations."""
     basis: list[Occupation] = []
     for n in range(total_cutoff + 1):
-        basis.extend(_occupations(num_modes, n, mode_cutoff))
+        for labels in reversed(list(combinations_with_replacement(range(num_modes), n))):
+            occ = [0] * num_modes
+            for mode in labels:
+                occ[mode] += 1
+            if n <= mode_cutoff or max(occ) <= mode_cutoff:
+                basis.append(tuple(occ))
     return tuple(basis), {occ: i for i, occ in enumerate(basis)}
 
 
@@ -123,15 +121,20 @@ class PureState:
     post_selected: bool = False
 
     def __post_init__(self) -> None:
-        clean: dict[Occupation, complex] = {}
+        basis, index = self.space.basis, self.space.index
+        clean: dict[int, complex] = {}
         for occ, amp in self.amplitudes.items():
-            occ = tuple(int(n) for n in occ)
-            if occ not in self.space.index:
-                raise ValueError(f"occupation {occ} outside the truncated space")
+            # a basis tuple is found without converting its N entries
+            i = index.get(occ)
+            if i is None:
+                occ = tuple(int(n) for n in occ)
+                i = index.get(occ)
+                if i is None:
+                    raise ValueError(f"occupation {occ} outside the truncated space")
             a = complex(amp)
             if a != 0:
-                clean[occ] = clean.get(occ, 0.0) + a
-        object.__setattr__(self, "amplitudes", clean)
+                clean[i] = clean.get(i, 0.0) + a
+        object.__setattr__(self, "amplitudes", {basis[i]: a for i, a in clean.items()})
         n2 = self.norm_sq
         if not 0.0 < n2 <= 1.0 + TOL.norm:
             raise ValueError(f"squared norm {n2} outside (0, 1]")
@@ -256,7 +259,8 @@ def _occupied_sectors(space: FockSpace, matrix: np.ndarray) -> np.ndarray:
 # the index arrays of the operation, depends only on the spaces and modes
 # involved, and is built once per process by the same loop over the basis
 # that a direct implementation would run; plans live in bounded lru_caches
-# and are read-only.  The apply step is one vectorized scatter (unitary), one
+# and are read-only.  The apply step is one vectorized scatter (unitary: into
+# the embedded matrix, or onto a pure state's amplitude vector), one
 # np.add.at (partial trace) or one fancy-index += (tensor), with every entry
 # added in the loop's order, so the results are bit-identical to the loops.
 #
@@ -374,17 +378,9 @@ def _two_mode_table(u: np.ndarray, max_photons: int) -> np.ndarray:
     packed as table[n, p, k].
 
     Block n maps the (n+1)-dimensional sector spanned by |k, n-k>, indexed
-    by k = photons in the first mode.  Tables are cached per unitary, keyed
-    on its dtype and bytes.
+    by k = photons in the first mode.  Built by expanding the transformed
+    creation-operator polynomial (a_1^dag)^k (a_2^dag)^(n-k).
     """
-    return _two_mode_table_cached(u.dtype.str, u.tobytes(), max_photons)
-
-
-@lru_cache(maxsize=64)
-def _two_mode_table_cached(dtype: str, raw: bytes, max_photons: int) -> np.ndarray:
-    """Built by expanding the transformed creation-operator polynomial
-    (a_1^dag)^k (a_2^dag)^(n-k)."""
-    u = np.frombuffer(raw, dtype=dtype).reshape(2, 2)
     table = np.zeros((max_photons + 1,) * 3, dtype=complex)
     for n in range(max_photons + 1):
         for k in range(n + 1):
@@ -398,20 +394,15 @@ def _two_mode_table_cached(dtype: str, raw: bytes, max_photons: int) -> np.ndarr
             for p in range(n + 1):
                 norm_out = math.sqrt(math.factorial(p) * math.factorial(n - p))
                 table[n, p, k] = poly[p] * norm_out / norm_in
-    table.setflags(write=False)
     return table
-
-
-def _max_pair_photons(space: FockSpace) -> int:
-    return min(space.total_cutoff, 2 * space.mode_cutoff)
 
 
 @lru_cache(maxsize=256)
 def _unitary_plan(space: FockSpace, modes: tuple[int, int]):
     """Where each table entry [n, p, k] of a unitary on ``modes`` lands:
     (rows, cols) and its (n, p, k) for targets inside the space, and the
-    (n, p, k) of targets that a per-mode cutoff tighter than the total
-    cutoff leaves out."""
+    (cols, n, p, k) of targets that a per-mode cutoff tighter than the
+    total cutoff leaves out."""
     i, j = modes
     index = space.index
     present, missing = [], []
@@ -423,22 +414,33 @@ def _unitary_plan(space: FockSpace, modes: tuple[int, int]):
             target[j] = n - p
             row = index.get(tuple(target))
             if row is None:
-                missing.append((n, p, k))
+                missing.append((col, n, p, k))
             else:
                 present.append((row, col, n, p, k))
     present = _frozen(*np.array(present, dtype=np.intp).reshape(-1, 5).T.copy())
-    missing = _frozen(*np.array(missing, dtype=np.intp).reshape(-1, 3).T.copy())
+    missing = _frozen(*np.array(missing, dtype=np.intp).reshape(-1, 4).T.copy())
     return present, missing
+
+
+def _unitary_entries(
+    space: FockSpace, modes: tuple[int, int], u: np.ndarray, carried: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the table entries of a unitary on ``modes``
+    that stay inside the space.  An entry leaving it, times ``carried`` at
+    its column, raises if not negligible: ones for a matrix, the amplitudes
+    for a vector, so a pure state overflows only by what it carries."""
+    (rows, cols, n, p, k), (m_cols, mn, mp, mk) = _unitary_plan(space, modes)
+    table = _two_mode_table(u, min(space.total_cutoff, 2 * space.mode_cutoff))
+    if np.any(np.abs(table[mn, mp, mk] * carried[m_cols]) > TOL.support):
+        raise ValueError("per-mode cutoff overflow in two-mode unitary")
+    return rows, cols, table[n, p, k]
 
 
 def _embedded_unitary(space: FockSpace, modes: tuple[int, int], u: np.ndarray) -> np.ndarray:
     """Full-space matrix of a two-mode unitary acting on the given mode pair."""
-    (rows, cols, n, p, k), missing = _unitary_plan(space, tuple(modes))
-    table = _two_mode_table(u, _max_pair_photons(space))
-    if np.any(np.abs(table[missing]) > TOL.support):
-        raise ValueError("per-mode cutoff overflow in two-mode unitary")
+    rows, cols, values = _unitary_entries(space, tuple(modes), u, np.ones(space.dim))
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[rows, cols] = table[n, p, k]
+    out[rows, cols] = values
     return out
 
 
@@ -447,6 +449,16 @@ def _unitary_raw(
 ) -> np.ndarray:
     full = _embedded_unitary(space, modes, u)
     return full @ matrix @ full.conj().T
+
+
+def _unitary_vector_raw(
+    space: FockSpace, vector: np.ndarray, modes: tuple[int, int], u: np.ndarray
+) -> np.ndarray:
+    """The unitary on an amplitude vector: one scatter, no dim x dim matrix."""
+    rows, cols, values = _unitary_entries(space, modes, u, vector)
+    out = np.zeros(space.dim, dtype=complex)
+    np.add.at(out, rows, values * vector[cols])
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -505,66 +517,48 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(out_space, out, normalized=rho.normalized)
 
 
+def _check_state_modes(state, modes: tuple[int, ...]) -> None:
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise TypeError("state must be a PureState or DensityOperator")
+    if not all(0 <= m < state.space.num_modes for m in modes):
+        raise ValueError("mode index out of range")
+
+
+def _pure_from_vector(state: PureState, vector: np.ndarray) -> PureState:
+    return PureState(state.space, dict(zip(state.space.basis, vector.tolist())), state.post_selected)
+
+
 def apply_two_mode_unitary(state, modes: tuple[int, int], u):
     """Act with a 2x2 mode-mixing unitary on the given pair of modes.
 
     Works on PureState and DensityOperator alike and preserves norm/trace.
     The convention is fixed in the module docstring: ``u`` maps the pair of
     annihilation operators, so a single photon in mode i acquires amplitude
-    u[l, i] on mode l.
+    u[l, i] on mode l.  Both kinds of state run through the same index plan
+    and table: a pure state's amplitude vector by one scatter, a density by
+    the embedded matrix.
     """
     i, j = int(modes[0]), int(modes[1])
     if i == j:
         raise ValueError("modes must be distinct")
     u = _check_two_mode_unitary(u)
+    _check_state_modes(state, (i, j))
     if isinstance(state, PureState):
-        space = state.space
-        if not (0 <= i < space.num_modes and 0 <= j < space.num_modes):
-            raise ValueError("mode index out of range")
-        table = _two_mode_table(u, _max_pair_photons(space))
-        new: dict[Occupation, complex] = {}
-        for occ, amp in state.amplitudes.items():
-            n = occ[i] + occ[j]
-            k = occ[i]
-            for p in range(n + 1):
-                coeff = table[n, p, k] * amp
-                if coeff == 0:
-                    continue
-                target = list(occ)
-                target[i] = p
-                target[j] = n - p
-                target = tuple(target)
-                if target not in space.index:
-                    if abs(coeff) > TOL.support:
-                        raise ValueError("per-mode cutoff overflow in two-mode unitary")
-                    continue
-                new[target] = new.get(target, 0.0) + coeff
-        return PureState(space, new, post_selected=state.post_selected)
-    if isinstance(state, DensityOperator):
-        space = state.space
-        if not (0 <= i < space.num_modes and 0 <= j < space.num_modes):
-            raise ValueError("mode index out of range")
-        out = _unitary_raw(space, state.matrix, (i, j), u)
-        return DensityOperator(space, out, normalized=state.normalized)
-    raise TypeError("state must be a PureState or DensityOperator")
+        out = _unitary_vector_raw(state.space, state.to_vector(), (i, j), u)
+        return _pure_from_vector(state, out)
+    out = _unitary_raw(state.space, state.matrix, (i, j), u)
+    return DensityOperator(state.space, out, normalized=state.normalized)
 
 
 def apply_phase_shift(state, mode: int, phi: float):
     """Phase shifter at one mode: |n> -> exp(-i phi n)|n>."""
     mode = int(mode)
+    _check_state_modes(state, (mode,))
     if isinstance(state, PureState):
-        if not 0 <= mode < state.space.num_modes:
-            raise ValueError("mode index out of range")
-        new = {
-            occ: amp * np.exp(-1j * phi * occ[mode]) for occ, amp in state.amplitudes.items()
-        }
-        return PureState(state.space, new, post_selected=state.post_selected)
-    if isinstance(state, DensityOperator):
-        if not 0 <= mode < state.space.num_modes:
-            raise ValueError("mode index out of range")
-        out = _phase_raw(state.space, state.matrix, mode, phi)
-        return DensityOperator(state.space, out, normalized=state.normalized)
-    raise TypeError("state must be a PureState or DensityOperator")
+        out = np.exp(-1j * phi * _mode_counts(state.space, mode)) * state.to_vector()
+        return _pure_from_vector(state, out)
+    out = _phase_raw(state.space, state.matrix, mode, phi)
+    return DensityOperator(state.space, out, normalized=state.normalized)
 
 
 def expectation(rho: DensityOperator, op: np.ndarray) -> complex:

@@ -92,6 +92,14 @@ def _as_event(event) -> BellEvent:
         raise ValueError(f"unknown detection event {event!r}") from None
 
 
+def _accepted_event(event) -> BellEvent:
+    """The event, checked to be one that heralds a teleported state."""
+    event = _as_event(event)
+    if event not in ADVANTAGEOUS:
+        raise ValueError(f"{event.name} does not herald a teleported state")
+    return event
+
+
 _DETECTOR_KINDS = {
     "number": "number",
     "number-resolving": "number",
@@ -289,18 +297,22 @@ def averaged_fidelity_curve(params: TeleportParams, thetas) -> np.ndarray:
     return curve
 
 
+def _phi_prime(event: BellEvent, qubit: UnknownQubit, theta: float) -> tuple[complex, complex]:
+    """Amplitudes (on |1>, on |0>) of Bob's |phi'> after the event:
+    a cos(theta), b sin(theta) for the c event and the complementary
+    angles (after Bob's correction) for the d event."""
+    c, s = math.cos(theta), math.sin(theta)
+    if event is BellEvent.D10:
+        return qubit.a * c, qubit.b * s
+    return qubit.a * s, qubit.b * c
+
+
 def event_probability_closed_form(
     event, qubit: UnknownQubit, params: TeleportParams
 ) -> float:
     """Probability of the given accepted event for a specific input qubit."""
-    event = _as_event(event)
-    if event not in ADVANTAGEOUS:
-        raise ValueError(f"{event.name} does not herald a teleported state")
-    c, s = math.cos(params.theta), math.sin(params.theta)
-    amp1, amp0 = (qubit.a * c, qubit.b * s) if event is BellEvent.D10 else (
-        qubit.a * s,
-        qubit.b * c,
-    )
+    event = _accepted_event(event)
+    amp1, amp0 = _phi_prime(event, qubit, params.theta)
     r = _event_background(params, event)
     return (
         params.eta
@@ -387,9 +399,7 @@ def bob_state(event, qubit: UnknownQubit, params: TeleportParams) -> DensityOper
     This is the one-qubit call of _bob_states, the pipeline that
     simulate_averaged's quadrature runs on all of its nodes at once.
     """
-    event = _as_event(event)
-    if event not in ADVANTAGEOUS:
-        raise ValueError(f"{event.name} does not herald a teleported state")
+    event = _accepted_event(event)
     v = qubit.state().to_vector()
     space, mats = _bob_states(event, np.outer(v, v.conj())[None], params)
     return DensityOperator(space, mats[0])
@@ -429,14 +439,8 @@ def bob_state_closed_form(
     """Bob's state as (eta/N)[|phi'><phi'| + |a|^2 R_e |0><0|] with
     |phi'> = a cos(theta)|1> + b sin(theta)|0> for the c event and the
     complementary angles (after Bob's correction) for the d event."""
-    event = _as_event(event)
-    if event not in ADVANTAGEOUS:
-        raise ValueError(f"{event.name} does not herald a teleported state")
-    c, s = math.cos(params.theta), math.sin(params.theta)
-    amp1, amp0 = (qubit.a * c, qubit.b * s) if event is BellEvent.D10 else (
-        qubit.a * s,
-        qubit.b * c,
-    )
+    event = _accepted_event(event)
+    amp1, amp0 = _phi_prime(event, qubit, params.theta)
     space = FockSpace(1)
     psi = np.zeros(space.dim, dtype=complex)
     psi[space.index[(1,)]] = amp1
@@ -501,29 +505,17 @@ def _transported(params: TeleportParams, thetas=None) -> np.ndarray:
     return u @ t @ u.conj().swapaxes(-1, -2)
 
 
-def _condition_kernels(
-    mats: np.ndarray, params: TeleportParams, event: BellEvent, flip: bool
-) -> np.ndarray:
+def _condition_kernels(mats: np.ndarray, params: TeleportParams, event: BellEvent) -> np.ndarray:
     """Condition a stack from _transported on the event and trace out
-    Alice's modes: the matching stack of 3x3 kernels on Bob's mode."""
+    Alice's modes: the matching stack of 3x3 kernels on Bob's mode, after
+    Bob's pi correction when the event is D01."""
     sqw = _event_weight_sqrt(event, params.eta, params.detector_kind)
     weighted = sqw[:, None] * mats * sqw[None, :]
     _, k = _ptrace_raw(_JOINT_SPACE, weighted, (2,))
-    if flip:
+    if event is BellEvent.D01:
         k[..., 1, :] *= -1.0
         k[..., :, 1] *= -1.0
     return k
-
-
-def _bob_kernels(
-    params: TeleportParams, event: BellEvent, mats: np.ndarray | None = None
-) -> np.ndarray:
-    """Bob's kernel stack for an accepted event; ``mats`` is
-    ``_transported(params)`` when the caller already holds it, so that
-    several events condition one stack."""
-    if mats is None:
-        mats = _transported(params)
-    return _condition_kernels(mats, params, event, flip=event is BellEvent.D01)
 
 
 # Bloch moments of the amplitude monomials appearing in the fidelity:
@@ -564,21 +556,29 @@ def _sample_values(kernels: np.ndarray, monomials: tuple) -> tuple[np.ndarray, n
     return f.real, p.real
 
 
-def bloch_average(f, n_polar: int = 8, n_azimuth: int = 16) -> float:
-    """Average a function of UnknownQubit over the uniform Bloch measure.
-
-    Gauss-Legendre in cos(theta_i) crossed with a uniform azimuthal grid;
-    exact (well beyond 1e-8) for the polynomial-in-amplitude integrands
-    arising in this protocol.
-    """
+def _bloch_nodes(n_polar: int, n_azimuth: int) -> list[tuple[float, UnknownQubit]]:
+    """(weight, qubit) of each node of the Bloch quadrature, polar-major:
+    Gauss-Legendre in cos(theta_i) crossed with a uniform azimuthal grid."""
+    if n_azimuth < 1:
+        raise ValueError(f"n_azimuth {n_azimuth} must be at least 1")
     xs, wx = np.polynomial.legendre.leggauss(n_polar)
-    total = 0.0
+    nodes = []
     for x, w in zip(xs, wx):
         theta_i = math.acos(float(np.clip(x, -1.0, 1.0)))
         for k in range(n_azimuth):
             qubit = UnknownQubit.from_bloch(theta_i, 2.0 * math.pi * k / n_azimuth)
-            total += w / 2.0 / n_azimuth * f(qubit)
-    return total
+            nodes.append((w / 2.0 / n_azimuth, qubit))
+    return nodes
+
+
+def bloch_average(f, n_polar: int = 8, n_azimuth: int = 16) -> float:
+    """Average a function of UnknownQubit over the uniform Bloch measure.
+
+    The nodes are those of simulate_averaged's quadrature; the rule is
+    exact (well beyond 1e-8) for the polynomial-in-amplitude integrands
+    arising in this protocol.
+    """
+    return sum((weight * f(qubit) for weight, qubit in _bloch_nodes(n_polar, n_azimuth)), 0.0)
 
 
 def simulate_averaged(
@@ -597,25 +597,17 @@ def simulate_averaged(
         mats = _transported(params)
         sum_f = sum_p = 0.0
         for event in params.events:
-            int_f, int_p = _event_integrals(_bob_kernels(params, event, mats))
+            int_f, int_p = _event_integrals(_condition_kernels(mats, params, event))
             sum_f += int_f
             sum_p += int_p
         return float(sum_f / sum_p), float(sum_p)
     if method == "quadrature":
-        if n_azimuth < 1:
-            raise ValueError(f"n_azimuth {n_azimuth} must be at least 1")
-        xs, wx = np.polynomial.legendre.leggauss(n_polar)
-        weights, targets = [], []
-        for x, w in zip(xs, wx):
-            theta_i = math.acos(float(np.clip(x, -1.0, 1.0)))
-            for k in range(n_azimuth):
-                qubit = UnknownQubit.from_bloch(theta_i, 2.0 * math.pi * k / n_azimuth)
-                weights.append(w / 2.0 / n_azimuth)
-                targets.append(qubit.state().to_vector())
+        nodes = _bloch_nodes(n_polar, n_azimuth)
+        targets = [qubit.state().to_vector() for _, qubit in nodes]
         qubits = np.stack([np.outer(v, v.conj()) for v in targets])
         states = [_bob_states(event, qubits, params)[1] for event in params.events]
         sum_f = sum_p = 0.0
-        for node, (weight, v) in enumerate(zip(weights, targets)):
+        for node, ((weight, _), v) in enumerate(zip(nodes, targets)):
             for rho_b in states:
                 sum_f += weight * float(np.real(v.conj() @ rho_b[node] @ v))
                 sum_p += weight * float(rho_b[node].trace().real)
@@ -643,8 +635,12 @@ def mc_averaged(
     substreams and accumulated in chunk order, so the result depends only
     on (seed, n_samples, chunks), never on execution schedule.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples {n_samples} must be at least 1")
+    if chunks < 1:
+        raise ValueError(f"chunks {chunks} must be at least 1")
     mats = _transported(params)
-    event_kernels = [_bob_kernels(params, e, mats) for e in params.events]
+    event_kernels = [_condition_kernels(mats, params, e) for e in params.events]
     sizes = [
         n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)
     ]
@@ -696,9 +692,7 @@ def optimal_theta(n: int, m: int, eta: float, event="D10") -> float:
     number-resolving detectors: cos(theta) = (2-eta)/hypot(2-eta, N-eta m-eta),
     mirrored about pi/4 for the d-side event."""
     TeleportParams(n, m, eta, 0.0)
-    event = _as_event(event)
-    if event not in ADVANTAGEOUS:
-        raise ValueError(f"{event.name} does not herald a teleported state")
+    event = _accepted_event(event)
     theta = math.acos((2.0 - eta) / math.hypot(2.0 - eta, n - eta * m - eta))
     return theta if event is BellEvent.D10 else math.pi / 2.0 - theta
 
@@ -758,10 +752,7 @@ def critical_eta(n: int, m: int, detector_kind: str = "number") -> float:
     the numerically maximized fidelity minus 2/3, by bisection.  Returns
     0.0 when the fidelity exceeds 2/3 at every positive efficiency.
     """
-    TeleportParams(n, m, 1.0, 0.0)
-    kind = _DETECTOR_KINDS.get(detector_kind)
-    if kind is None:
-        raise ValueError(f"unknown detector kind {detector_kind!r}")
+    kind = TeleportParams(n, m, 1.0, 0.0, detector_kind).detector_kind
     if kind == "number":
         return (n + m - math.sqrt((n - m - 2.0) ** 2 + 4.0 * (m + 1.0))) / (2.0 * (m + 1.0))
 
@@ -814,7 +805,7 @@ def nonadvantageous_bound(
     for start in range(0, n_theta, _ANGLE_BLOCK):
         mats = _transported(base, thetas[start : start + _ANGLE_BLOCK])
         for event in REJECTED:
-            kernels = _condition_kernels(mats, base, event, flip=False)
+            kernels = _condition_kernels(mats, base, event)
             k00, k01, k10, k11 = np.moveaxis(kernels, 1, 0)
             int_p = np.real(np.trace(k11, axis1=1, axis2=2) + np.trace(k00, axis1=1, axis2=2))
             int_p = int_p / 2.0

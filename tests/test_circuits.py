@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ class TestChainFormula:
     def test_single_photon_support_only(self):
         state = generate_w(symmetric_angles(5))
         assert all(sum(occ) == 1 for occ in state.amplitudes)
+
+    def test_large_symmetric_chain(self):
+        # the chain is O(N) on the amplitude vector; the basis of the
+        # one-photon space is enumerated once per process and shared by
+        # every equal FockSpace, so it is built before the clock starts
+        n = 4096
+        angles = symmetric_angles(n)
+        assert FockSpace(n, 1).dim == n + 1
+        start = time.perf_counter()
+        state = generate_w(angles)
+        elapsed = time.perf_counter() - start
+        expected = coefficients_from_angles(angles).alphas
+        assert len(state.amplitudes) == n
+        for occ, amp in state.amplitudes.items():
+            assert abs(amp - expected[occ.index(1)]) <= 1e-12
+        assert elapsed < 1.0
 
     def test_last_coefficient_is_full_cosine_product(self):
         thetas = (0.3, 0.8, 1.1)

@@ -189,6 +189,16 @@ class TestLossyMoments:
         with pytest.raises(ValueError):
             povm_moments(rho, DetectorModel(0.5), kind="analog")
 
+    def test_occupation_above_detector_cutoff_rejected(self):
+        # the same error condition gives, not an IndexError
+        rho = fock_state(FockSpace(2, 3), (3, 0)).to_density()
+        det = DetectorModel(0.5)
+        with pytest.raises(ValueError, match="POVM cutoff below"):
+            condition(rho, {0: povm_number(0, det), 1: povm_number(0, det)})
+        for kind in ("number", "onoff"):
+            with pytest.raises(ValueError, match="POVM cutoff below"):
+                povm_moments(rho, det, kind=kind)
+
     def test_two_modes_required(self):
         rho = fock_state(FockSpace(1), (1,)).to_density()
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Index plans of the raw Fock engine and the stacked Bloch-kernel path.
 
 The planned operations must reproduce, bit for bit, the direct loops they
-replaced; those loops are kept here as reference oracles.  Preservation
-of the trace (density operators) and of the squared norm (pure states)
-under the public unitary and phase operations is checked as a property
-over random states.
+replaced; those loops are kept here as reference oracles.  The occupation
+dict loops that once applied splitters and phase shifters to a PureState
+are kept too: the preparation chain on its amplitude vector must equal
+them bit for bit, and the pure-state plan route within TOL.norm.
+Preservation of the trace (density operators) and of the squared norm
+(pure states) under the public unitary and phase operations is checked as
+a property over random states.
 """
 
 import dataclasses
@@ -13,17 +16,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsim import (
     DensityOperator,
     FockSpace,
     PureState,
+    SplitterAngles,
     TeleportParams,
     apply_phase_shift,
     apply_two_mode_unitary,
     bell_splitter,
+    fock_state,
+    generate_w,
     nonadvantageous_bound,
     splitter,
 )
@@ -116,6 +122,61 @@ def embedded_unitary_loop(space, modes, u):
                 continue
             out[row, col] = amp
     return out
+
+
+def occupations_recursive(num_modes, total, mode_cutoff):
+    if num_modes == 0:
+        if total == 0:
+            yield ()
+        return
+    for k in range(min(total, mode_cutoff) + 1):
+        for rest in occupations_recursive(num_modes - 1, total - k, mode_cutoff):
+            yield (k,) + rest
+
+
+def unitary_dict_loop(state, modes, u):
+    """A two-mode unitary on a PureState by its occupation dict."""
+    i, j = modes
+    space = state.space
+    blocks = two_mode_blocks_loop(
+        np.asarray(u, dtype=complex), min(space.total_cutoff, 2 * space.mode_cutoff)
+    )
+    new = {}
+    for occ, amp in state.amplitudes.items():
+        n = occ[i] + occ[j]
+        k = occ[i]
+        for p in range(n + 1):
+            coeff = blocks[n][p, k] * amp
+            if coeff == 0:
+                continue
+            target = list(occ)
+            target[i] = p
+            target[j] = n - p
+            target = tuple(target)
+            if target not in space.index:
+                if abs(coeff) > TOL.support:
+                    raise ValueError("per-mode cutoff overflow in two-mode unitary")
+                continue
+            new[target] = new.get(target, 0.0) + coeff
+    return PureState(space, new, post_selected=state.post_selected)
+
+
+def phase_dict_loop(state, mode, phi):
+    new = {occ: amp * np.exp(-1j * phi * occ[mode]) for occ, amp in state.amplitudes.items()}
+    return PureState(state.space, new, post_selected=state.post_selected)
+
+
+def generate_w_dict_loop(angles):
+    """The preparation chain run on the occupation dict, one splitter and
+    one revalidated PureState at a time."""
+    space = FockSpace(angles.num_modes, 1)
+    state = fock_state(space, (1,) + (0,) * (angles.num_modes - 1))
+    for j, theta in enumerate(angles.thetas):
+        state = unitary_dict_loop(state, (j, j + 1), splitter(theta))
+    for j, phi in enumerate(angles.phis):
+        if phi != 0.0:
+            state = phase_dict_loop(state, j, phi)
+    return state
 
 
 def assert_same_bits(got, expected):
@@ -229,6 +290,119 @@ class TestPlansEqualLoops:
         assert_same_bits(out, ref)
 
 
+class TestOccupations:
+    def test_enumeration_equals_recursion(self):
+        for num_modes in range(7):
+            for total_cutoff in range(6):
+                for mode_cutoff in range(6):
+                    expected = [
+                        occ
+                        for n in range(total_cutoff + 1)
+                        for occ in occupations_recursive(num_modes, n, mode_cutoff)
+                    ]
+                    space = FockSpace(num_modes, total_cutoff, mode_cutoff)
+                    assert list(space.basis) == expected
+
+    def test_thousands_of_modes(self):
+        # one generator frame per mode would pass the recursion limit here
+        space = FockSpace(2000, 1)
+        assert space.dim == 2001
+        assert space.basis[1] == (0,) * 1999 + (1,)
+        assert space.basis[-1] == (1,) + (0,) * 1999
+
+
+def assert_close_amplitudes(got, expected):
+    assert got.space == expected.space
+    assert got.post_selected == expected.post_selected
+    for occ in set(got.amplitudes) | set(expected.amplitudes):
+        assert abs(got.amplitudes.get(occ, 0.0) - expected.amplitudes.get(occ, 0.0)) <= TOL.norm
+
+
+def random_pure_state(rng, space, zero_frac):
+    v = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    v[rng.random(space.dim) < zero_frac] = 0.0
+    if not v.any():
+        v[0] = 1.0
+    return PureState(space, dict(zip(space.basis, v / np.linalg.norm(v))))
+
+
+class TestPureStateRoute:
+    @pytest.mark.parametrize("space", SPACES, ids=space_id)
+    def test_unitary_equals_dict_loop(self, space):
+        rng = np.random.default_rng(space.num_modes * 10 + space.total_cutoff + 1)
+        randoms = [random_pure_state(rng, space, zero_frac) for zero_frac in (0.0, 0.8)]
+        numbers = [fock_state(space, occ) for occ in space.basis]
+        pairs = list(itertools.permutations(range(space.num_modes), 2))
+        for index, modes in enumerate(pairs):
+            # number states find every overflowing entry; both orders of one
+            # pair are enough for them
+            states = randoms + numbers if index < 2 else randoms
+            for u in unitaries(rng):
+                for state in states:
+                    try:
+                        expected = unitary_dict_loop(state, modes, u)
+                    except ValueError:
+                        with pytest.raises(ValueError, match="per-mode cutoff overflow"):
+                            apply_two_mode_unitary(state, modes, u)
+                        continue
+                    assert_close_amplitudes(apply_two_mode_unitary(state, modes, u), expected)
+
+    @pytest.mark.parametrize("space", SPACES, ids=space_id)
+    def test_phase_equals_dict_loop(self, space):
+        rng = np.random.default_rng(space.dim)
+        state = random_pure_state(rng, space, 0.3)
+        for mode in range(space.num_modes):
+            for phi in (0.0, 0.7, -2.5, math.pi):
+                assert_close_amplitudes(
+                    apply_phase_shift(state, mode, phi), phase_dict_loop(state, mode, phi)
+                )
+
+    def test_overflow_only_for_carried_amplitudes(self):
+        space = FockSpace(2, 2, 1)
+        balanced = bell_splitter(math.pi / 4)
+        one = fock_state(space, (1, 0))
+        assert_close_amplitudes(
+            apply_two_mode_unitary(one, (0, 1), balanced), unitary_dict_loop(one, (0, 1), balanced)
+        )
+        pair = fock_state(space, (1, 1))
+        with pytest.raises(ValueError, match="per-mode cutoff overflow"):
+            unitary_dict_loop(pair, (0, 1), balanced)
+        with pytest.raises(ValueError, match="per-mode cutoff overflow"):
+            apply_two_mode_unitary(pair, (0, 1), balanced)
+
+
+_EDGE_ANGLES = st.sampled_from([0.0, math.pi / 2])
+
+
+@st.composite
+def chain_angles(draw):
+    """Preparation-chain settings for N in 2..16, with angles drawn often
+    at exactly 0 and pi/2 and phases often exactly 0."""
+    n = draw(st.integers(2, 16))
+    theta = st.one_of(_EDGE_ANGLES, st.floats(0.0, math.pi / 2))
+    phi = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+    thetas = draw(st.lists(theta, min_size=n - 1, max_size=n - 1))
+    phis = draw(st.lists(phi, min_size=n, max_size=n))
+    return SplitterAngles(tuple(thetas), tuple(phis))
+
+
+class TestChainOnAmplitudes:
+    @settings(max_examples=100, deadline=None)
+    @given(angles=chain_angles())
+    @example(angles=SplitterAngles((0.0,) * 4))
+    @example(angles=SplitterAngles((math.pi / 2,) * 4, (0.3, -1.0, 2.0, 0.0, 5.5)))
+    @example(angles=SplitterAngles((0.0, math.pi / 2, 0.4, 0.0), (1.0, 0.0, -0.5, 2.0, 0.0)))
+    @example(angles=SplitterAngles((0.7,) * 15, tuple(0.1 * j for j in range(16))))
+    @example(angles=SplitterAngles((math.pi / 2 + 1e-12, 0.3, 0.0), (0.0, 1.0, 0.0, -2.0)))
+    def test_generate_w_equals_dict_loop(self, angles):
+        got = generate_w(angles)
+        expected = generate_w_dict_loop(angles)
+        assert got.space == expected.space
+        assert set(got.amplitudes) == set(expected.amplitudes)
+        for occ, amp in expected.amplitudes.items():
+            assert_same_bits(np.complex128(got.amplitudes[occ]), np.complex128(amp))
+
+
 class TestStackedKernels:
     def test_angle_stack_equals_single_angles(self):
         base = TeleportParams(5, 2, 0.6, 0.0)
@@ -264,7 +438,7 @@ class TestStackedKernels:
             params = dataclasses.replace(base, theta=float(theta))
             mats = teleport._transported(params)
             for event in teleport.REJECTED:
-                k00, k01, k10, k11 = teleport._condition_kernels(mats, params, event, flip=False)
+                k00, k01, k10, k11 = teleport._condition_kernels(mats, params, event)
                 int_p = float(np.real(np.trace(k11) + np.trace(k00))) / 2.0
                 if int_p < 1e-14:
                     continue
@@ -277,7 +451,9 @@ class TestStackedKernels:
 
     def test_sample_values_equal_per_slot_monomials(self):
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
-        kernels = teleport._bob_kernels(params, teleport.BellEvent.D01)
+        kernels = teleport._condition_kernels(
+            teleport._transported(params), params, teleport.BellEvent.D01
+        )
         monomials = teleport._sampled_monomials(np.random.default_rng(2), 1000)
         rng = np.random.default_rng(2)
         x = rng.uniform(-1.0, 1.0, 1000)

@@ -85,6 +85,13 @@ class TestStates:
     def test_vacuum(self):
         assert vacuum_state(FockSpace(2)).amplitudes == {(0, 0): 1.0 + 0.0j}
 
+    def test_keys_become_basis_tuples(self):
+        space = FockSpace(2)
+        state = PureState(space, {(1.0, 0): 0.6, (np.int64(0), np.int64(1)): 0.8})
+        assert list(state.amplitudes) == [(1, 0), (0, 1)]
+        for occ in state.amplitudes:
+            assert all(type(n) is int for n in occ)
+
     def test_occupation_outside_space_rejected(self):
         with pytest.raises(ValueError):
             PureState(FockSpace(2), {(2, 1): 1.0})

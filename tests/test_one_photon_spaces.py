@@ -151,7 +151,6 @@ class TestBoundedCaches:
             fock._tensor_plan,
             fock._ptrace_plan,
             fock._unitary_plan,
-            fock._two_mode_table_cached,
             fock._mode_counts,
             teleport._operator_basis_maps,
             teleport._bell_unitary,

@@ -139,7 +139,7 @@ class TestStackEqualsLoop:
 def loop_mc(params, n_samples, seed, chunks):
     """mc_averaged with every chunk's samples evaluated in one piece."""
     mats = teleport._transported(params)
-    event_kernels = [teleport._bob_kernels(params, e, mats) for e in params.events]
+    event_kernels = [teleport._condition_kernels(mats, params, e) for e in params.events]
     sizes = [n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)]
     sum_f = sum_p = sum_ff = sum_pp = sum_fp = 0.0
     for seq, size in zip(np.random.SeedSequence(seed).spawn(chunks), sizes):
@@ -162,7 +162,8 @@ class TestBlockedSamples:
     @pytest.mark.parametrize("size", [1, 1000, 16_385, 125_000])
     def test_sample_values_in_slices(self, size):
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
-        kernels = teleport._bob_kernels(params, BellEvent.D01)
+        mats = teleport._transported(params)
+        kernels = teleport._condition_kernels(mats, params, BellEvent.D01)
         monomials = teleport._sampled_monomials(np.random.default_rng(size), size)
         f, p = teleport._sample_values(kernels, monomials)
         for block in (7, 1000, teleport._SAMPLE_BLOCK):

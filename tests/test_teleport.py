@@ -219,6 +219,38 @@ class TestAveraging:
         with pytest.raises(ValueError):
             simulate_averaged(params, method="contour")
 
+    @pytest.mark.parametrize("n_azimuth", [0, -1])
+    def test_empty_azimuthal_grid_rejected(self, n_azimuth):
+        # an average over no nodes is not 0.0
+        with pytest.raises(ValueError, match="n_azimuth"):
+            bloch_average(lambda q: 1.0, n_azimuth=n_azimuth)
+        with pytest.raises(ValueError, match="n_azimuth"):
+            simulate_averaged(TeleportParams(3, 1, 0.8, 0.5), "quadrature", n_azimuth=n_azimuth)
+
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(8, 16), (3, 5)])
+    def test_bloch_average_equals_node_loop(self, n_polar, n_azimuth):
+        def f(q):
+            return abs(q.a) ** 2 * q.b.real + (q.a * q.b).imag
+
+        xs, wx = np.polynomial.legendre.leggauss(n_polar)
+        total = 0.0
+        for x, w in zip(xs, wx):
+            theta_i = math.acos(float(np.clip(x, -1.0, 1.0)))
+            for k in range(n_azimuth):
+                qubit = UnknownQubit.from_bloch(theta_i, 2.0 * math.pi * k / n_azimuth)
+                total += w / 2.0 / n_azimuth * f(qubit)
+        assert bloch_average(f, n_polar, n_azimuth) == total
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_monte_carlo_needs_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_averaged(TeleportParams(3, 1, 0.8, 0.5), n_samples=n_samples)
+
+    @pytest.mark.parametrize("chunks", [0, -1])
+    def test_monte_carlo_needs_chunks(self, chunks):
+        with pytest.raises(ValueError, match="chunks"):
+            mc_averaged(TeleportParams(3, 1, 0.8, 0.5), n_samples=100, chunks=chunks)
+
     def test_monte_carlo_determinism_and_coverage(self):
         params = TeleportParams(4, 1, 0.8, 0.9, event_set="both")
         a = mc_averaged(params, n_samples=20_000, seed=7)
@@ -320,6 +352,11 @@ class TestCriticalEfficiency:
         assert critical_eta_bisection(n, m) == pytest.approx(
             critical_eta(n, m), abs=1e-9
         )
+
+    def test_detector_kind_checked_and_aliased(self):
+        with pytest.raises(ValueError, match="unknown detector kind"):
+            critical_eta(3, 1, detector_kind="analog")
+        assert critical_eta(3, 1, "number-resolving") == critical_eta(3, 1)
 
     def test_onoff_reference_values(self):
         assert critical_eta(3, 1, detector_kind="onoff") == pytest.approx(
