@@ -10,8 +10,10 @@ the script once per source tree and diffing the two outputs checks that a
 change keeps the CLI tables byte-identical on this machine's numpy and BLAS.
 
 The commands are the three benchmark workloads (benchmarks/run.py) at seeds
-1-3, ten README examples and sweeps, and four lines that run the
-preparation chain with phases, a zero splitter angle and larger N.
+1-3, ten README examples and sweeps, four lines that run the preparation
+chain with phases, a zero splitter angle and larger N, and two witness
+scans: one over the 2,016 pairs of a 64-mode state, and one with a vacuum
+pair (its note row) and pairs whose coefficient product is zero.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ EXAMPLES = [
     "wstate --coeffs 0.6,0,0.8j",
     "wstate --symmetric 64",
     "teleport --N 64,128 --m 0,32 --eta 0.9 --theta 0.7",
+    "witness-scan --symmetric 64 --eta 0.8",
+    "witness-scan --coeffs 0,0,0.6,0.8j --eta 0.5",
 ]
 
 

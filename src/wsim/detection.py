@@ -146,10 +146,11 @@ def _povm_weights(space: FockSpace, assignments: Mapping[int, PovmElement]) -> n
     return weights
 
 
-def _require_two_mode_normalized(rho2: DensityOperator) -> None:
-    if rho2.space.num_modes != 2:
+def _require_two_mode_normalized(space: FockSpace, matrices: np.ndarray) -> None:
+    """Every matrix of a (..., dim, dim) stack is a two-mode state of unit trace."""
+    if space.num_modes != 2:
         raise ValueError("expected a two-mode state")
-    if abs(rho2.trace() - 1.0) > TOL.trace:
+    if np.any(np.abs(matrices.trace(axis1=-2, axis2=-1).real - 1.0) > TOL.trace):
         raise ValueError("expected a normalized state")
 
 
@@ -170,27 +171,36 @@ def _count_vectors(space: FockSpace, modes: tuple[int, int]) -> tuple[np.ndarray
     return _frozen((n_i - n_j).astype(float), (n_i + n_j).astype(float))
 
 
-def _readout_raw(rho2: DensityOperator, phi: float) -> np.ndarray:
-    """Raw matrix of a validated two-mode state after a phase phi on the
-    second mode and a balanced splitter; the intermediates are not
-    validated again."""
-    probe = _phase_raw(rho2.space, rho2.matrix, 1, phi)
-    full = _readout_unitary(rho2.space)
+def _readout_raw(space: FockSpace, matrices: np.ndarray, phi: float) -> np.ndarray:
+    """Raw matrices of validated two-mode states, a (..., dim, dim) stack,
+    after a phase phi on the second mode and a balanced splitter; the
+    intermediates are not validated again."""
+    probe = _phase_raw(space, matrices, 1, phi)
+    full = _readout_unitary(space)
     return full @ probe @ full.conj().T
 
 
-def _difference_statistics(rho2: DensityOperator, phi: float) -> tuple[float, float, float]:
+def _difference_statistics(
+    space: FockSpace, matrices: np.ndarray, phi: float
+) -> list[tuple[float, float]]:
     """Ideal photon-number-difference readout behind a balanced splitter.
 
     A phase phi on the second mode followed by a balanced splitter turns the
     count difference n_c - n_d into 2J_x (phi = 0) or 2J_y (phi = pi/2).
-    Returns (mean difference, variance of difference, mean total count).
+    Returns (variance of difference, mean total count) for each matrix of
+    a (P, dim, dim) stack.  The readout runs once over the stack.  The
+    contractions are np.vecdot, which runs numpy's 1-D dot kernel on each
+    slice exactly as ``diag @ d_vals`` does on one slice alone; a stacked
+    matrix-vector product rounds differently.  The squares stay Python
+    floats, because numpy's x*x and libm's pow(x, 2) can differ in the
+    last bit.
     """
-    diag = np.real(np.diag(_readout_raw(rho2, phi)))
-    d_vals, n_vals = _count_vectors(rho2.space, (0, 1))
-    mean_d = float(diag @ d_vals)
-    var_d = float(diag @ d_vals**2) - mean_d**2
-    return mean_d, var_d, float(diag @ n_vals)
+    diags = np.real(np.diagonal(_readout_raw(space, matrices, phi), axis1=-2, axis2=-1))
+    d_vals, n_vals = _count_vectors(space, (0, 1))
+    mean_d = np.vecdot(diags, d_vals).tolist()
+    mean_d2 = np.vecdot(diags, d_vals**2).tolist()
+    mean_n = np.vecdot(diags, n_vals).tolist()
+    return [(m2 - m**2, n) for m, m2, n in zip(mean_d, mean_d2, mean_n)]
 
 
 def lossy_moments(rho2: DensityOperator, det: DetectorModel) -> tuple[float, float, float]:
@@ -201,19 +211,32 @@ def lossy_moments(rho2: DensityOperator, det: DetectorModel) -> tuple[float, flo
     difference moments var(D_eta) = eta^2 var(D) + eta(1-eta)<N_+> and
     <N_+>_eta = eta <N_+>, quoted here per J component (a factor 1/4).
 
-    The input is already a validated DensityOperator, so the phase shifter
-    and the splitter run on its matrix through the raw engine and no
-    intermediate state is validated again; the same holds for
-    lossy_moments_ancilla and povm_moments.  The readout splitter and the
-    count vectors of each space are checked and built once per process.
+    This is the one-state call of _lossy_moment_stack, which the witness
+    scan runs on a whole stack of pair states.  The input is already a
+    validated DensityOperator, so the phase shifter and the splitter run
+    on its matrix through the raw engine and no intermediate state is
+    validated again; the same holds for lossy_moments_ancilla and
+    povm_moments.  The readout splitter and the count vectors of each
+    space are checked and built once per process.
     """
-    _require_two_mode_normalized(rho2)
-    eta = det.eta
-    _, var_dx, n_plus = _difference_statistics(rho2, 0.0)
-    _, var_dy, _ = _difference_statistics(rho2, math.pi / 2)
-    var_jx = (eta**2 * var_dx + eta * (1.0 - eta) * n_plus) / 4.0
-    var_jy = (eta**2 * var_dy + eta * (1.0 - eta) * n_plus) / 4.0
-    return var_jx, var_jy, eta * n_plus
+    return _lossy_moment_stack(rho2.space, rho2.matrix[None], [det.eta])[0]
+
+
+def _lossy_moment_stack(
+    space: FockSpace, matrices: np.ndarray, etas
+) -> list[tuple[float, float, float]]:
+    """lossy_moments of each matrix of a (P, dim, dim) stack of validated
+    two-mode states, read by detectors of efficiency etas[p]; entry p is
+    bit for bit lossy_moments of slice p alone."""
+    _require_two_mode_normalized(space, matrices)
+    x_stats = _difference_statistics(space, matrices, 0.0)
+    y_stats = _difference_statistics(space, matrices, math.pi / 2)
+    out = []
+    for eta, (var_dx, n_plus), (var_dy, _) in zip(etas, x_stats, y_stats):
+        var_jx = (eta**2 * var_dx + eta * (1.0 - eta) * n_plus) / 4.0
+        var_jy = (eta**2 * var_dy + eta * (1.0 - eta) * n_plus) / 4.0
+        out.append((var_jx, var_jy, eta * n_plus))
+    return out
 
 
 def lossy_moments_ancilla(rho2: DensityOperator, det: DetectorModel) -> tuple[float, float, float]:
@@ -224,13 +247,13 @@ def lossy_moments_ancilla(rho2: DensityOperator, det: DetectorModel) -> tuple[fl
     no moment transform is applied.  Kept as an independent oracle for
     lossy_moments.
     """
-    _require_two_mode_normalized(rho2)
+    _require_two_mode_normalized(rho2.space, rho2.matrix)
     loss = _check_two_mode_unitary(splitter(math.acos(math.sqrt(det.eta))))
     ancillas = vacuum_state(FockSpace(2)).to_density()
     out = []
     n_plus_meas = 0.0
     for phi in (0.0, math.pi / 2):
-        probe = _readout_raw(rho2, phi)
+        probe = _readout_raw(rho2.space, rho2.matrix, phi)
         space, big = _tensor_raw(rho2.space, probe, ancillas.space, ancillas.matrix)
         # transmitted beams land on the ancilla slots 2 and 3
         big = _unitary_raw(space, big, (0, 2), loss)
@@ -253,7 +276,7 @@ def povm_moments(
     agree with lossy_moments to rounding), "onoff" registers clicks valued
     0/1 (and agrees whenever at most one photon can arrive per output).
     """
-    _require_two_mode_normalized(rho2)
+    _require_two_mode_normalized(rho2.space, rho2.matrix)
     if kind == "number":
         outcomes = [(povm_number(k, det), float(k)) for k in range(3)]
     elif kind == "onoff":
@@ -268,7 +291,7 @@ def povm_moments(
     variances = []
     n_plus_meas = 0.0
     for phi in (0.0, math.pi / 2):
-        diag = np.real(np.diag(_readout_raw(rho2, phi)))
+        diag = np.real(np.diag(_readout_raw(rho2.space, rho2.matrix, phi)))
         mean_d = mean_d2 = mean_n = 0.0
         for weights, d, total in joint:
             p = float(diag @ weights)

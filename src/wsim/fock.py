@@ -127,10 +127,13 @@ class PureState:
             # a basis tuple is found without converting its N entries
             i = index.get(occ)
             if i is None:
-                occ = tuple(int(n) for n in occ)
-                i = index.get(occ)
+                counts = tuple(int(n) for n in occ)
+                # int() truncates, so a fractional count must not reach the index
+                if any(k != n for k, n in zip(counts, occ)):
+                    raise ValueError(f"occupation {tuple(occ)} has a non-integer entry")
+                i = index.get(counts)
                 if i is None:
-                    raise ValueError(f"occupation {occ} outside the truncated space")
+                    raise ValueError(f"occupation {counts} outside the truncated space")
             a = complex(amp)
             if a != 0:
                 clean[i] = clean.get(i, 0.0) + a
@@ -164,7 +167,7 @@ class PureState:
 
 def fock_state(space: FockSpace, occ) -> PureState:
     """The number state |occ> as a PureState."""
-    return PureState(space, {tuple(int(n) for n in occ): 1.0 + 0.0j})
+    return PureState(space, {tuple(occ): 1.0 + 0.0j})
 
 
 def vacuum_state(space: FockSpace) -> PureState:

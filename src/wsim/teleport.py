@@ -204,43 +204,74 @@ class TeleportReport:
 def vacuum_weight(n: int, m: int, eta: float, theta: float) -> float:
     """R(theta): weight of the background vacuum reaching Bob on the
     one-photon-at-c event, relative to eta/N."""
-    return (n - eta * m - 2.0) * math.cos(theta) ** 2 + 1.0 - eta
+    return _vacuum_weight(n, m, eta, math.cos(theta) ** 2)
+
+
+def _vacuum_weight(n: int, m: int, eta: float, cos_sq):
+    """vacuum_weight from cos^2 of the angle: a float, or a float64 array."""
+    return (n - eta * m - 2.0) * cos_sq + 1.0 - eta
 
 
 def onoff_excess(eta: float, theta: float) -> float:
     """R'(theta) = 2 eta sin^2 cos^2: extra vacuum admitted when the c
     detector cannot tell one photon from two."""
-    return 2.0 * eta * (math.sin(theta) * math.cos(theta)) ** 2
+    return _onoff_excess(eta, (math.sin(theta) * math.cos(theta)) ** 2)
 
 
-def _event_background(
-    params: TeleportParams, event: BellEvent, theta: float | None = None
-) -> float:
-    """R_e at the splitter angle ``theta`` (default params.theta)."""
-    if theta is None:
-        theta = params.theta
+def _onoff_excess(eta: float, sin_cos_sq):
+    """onoff_excess from (sin cos)^2 of the angle: a float, or a float64 array."""
+    return 2.0 * eta * sin_cos_sq
+
+
+def _angle_terms(thetas: list[float]) -> list[list[float]]:
+    """Columns sin 2theta, cos^2 of the c- and d-event angles (theta and
+    theta + pi/2) and (sin theta cos theta)^2 over a list of splitter
+    angles.
+
+    These are computed per angle with math and Python's **: numpy's sin,
+    cos and squares can round the last bit differently, and every closed
+    form at an angle must equal the per-angle report bit for bit.
+    """
+    sin, cos = math.sin, math.cos
+    return [
+        [sin(2.0 * t) for t in thetas],
+        [cos(t) ** 2 for t in thetas],
+        [cos(t + math.pi / 2) ** 2 for t in thetas],
+        [(sin(t) * cos(t)) ** 2 for t in thetas],
+    ]
+
+
+def _terms_at(theta: float) -> list[float]:
+    """The angle terms of _angle_terms at one angle, as floats."""
+    return [column[0] for column in _angle_terms([theta])]
+
+
+def _event_background(params: TeleportParams, event: BellEvent, terms=None):
+    """R_e from the angle terms of _angle_terms: floats at one angle
+    (default: params.theta), or float64 arrays with one entry per angle."""
+    if terms is None:
+        terms = _terms_at(params.theta)
+    _, cos_sq_c, cos_sq_d, sin_cos_sq = terms
     # after Bob's correction the d-side event sees the complementary angle;
     # the on-off excess is symmetric under that swap
-    angle = theta if event is BellEvent.D10 else theta + math.pi / 2
-    r = vacuum_weight(params.N, params.m, params.eta, angle)
+    cos_sq = cos_sq_c if event is BellEvent.D10 else cos_sq_d
+    r = _vacuum_weight(params.N, params.m, params.eta, cos_sq)
     if params.detector_kind == "onoff":
-        r += onoff_excess(params.eta, theta)
+        r = r + _onoff_excess(params.eta, sin_cos_sq)
     return r
 
 
-def _closed_integrals(
-    params: TeleportParams, theta: float | None = None
-) -> tuple[float, float]:
-    """(numerator, denominator) of the averaged fidelity at the splitter
-    angle ``theta`` (default params.theta): sums over events of the
-    Bloch-averaged unnormalized fidelity and event probability, both in
-    units of eta/(2N).  The angle must already be checked."""
-    if theta is None:
-        theta = params.theta
-    s2 = math.sin(2.0 * theta)
+def _closed_integrals(params: TeleportParams, terms):
+    """(numerator, denominator) of the averaged fidelity from the angle
+    terms of _angle_terms: sums over events of the Bloch-averaged
+    unnormalized fidelity and event probability, both in units of
+    eta/(2N).  Floats for one angle, float64 arrays (one entry per angle)
+    for a grid; the elementwise arithmetic rounds alike in both.  The
+    angles must already be checked."""
+    s2 = terms[0]
     num = den = 0.0
     for event in params.events:
-        r = _event_background(params, event, theta)
+        r = _event_background(params, event, terms)
         num += (2.0 + s2 + r) / 3.0
         den += 1.0 + r
     return num, den
@@ -253,7 +284,7 @@ def averaged_fidelity_probability(params: TeleportParams) -> TeleportReport:
     and the probability (eta/2N)(1+R_e), with R_e the event's background
     weight; event combinations average with probability weights.
     """
-    num, den = _closed_integrals(params)
+    num, den = _closed_integrals(params, _terms_at(params.theta))
     return TeleportReport(
         params=params,
         avg_fidelity=num / den,
@@ -268,7 +299,7 @@ def averaged_fidelity_probability(params: TeleportParams) -> TeleportReport:
 
 
 def _fbar(params: TeleportParams, theta: float | None = None) -> float:
-    num, den = _closed_integrals(params, theta)
+    num, den = _closed_integrals(params, _terms_at(params.theta if theta is None else theta))
     return num / den
 
 
@@ -289,9 +320,8 @@ def averaged_fidelity_curve(params: TeleportParams, thetas) -> np.ndarray:
     for theta in grid:
         if not 0.0 <= theta <= math.pi / 2 + 1e-12:
             raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
-    # math.sin/cos in a scalar loop, not numpy ufuncs: those may round the
-    # last bit differently, and the curve must match the per-angle reports
-    curve = np.array([_fbar(params, theta) for theta in grid], dtype=float)
+    num, den = _closed_integrals(params, np.array(_angle_terms(grid), dtype=float))
+    curve = num / den
     if not np.all((-TOL.norm <= curve) & (curve <= 1.0 + TOL.norm)):
         raise ValueError("average fidelity outside [0, 1]")
     return curve

@@ -11,11 +11,14 @@ averaged_fidelity_probability bit for bit without building a parameter
 object or a report per angle.  The sampled cross-checks pay their fixed
 costs once per stack, not once per sample: the quadrature claim sends all
 of a tuple's nodes through Bob's pipeline as one stack, each node
-validated as bob_state validates its result; the witness and detector
-claims reuse a readout splitter and count vectors built once per space;
-the resource claims build one W state per N; and the Monte Carlo claim
-evaluates its samples in cache-sized slices.  Every stacked or cached
-route equals the per-sample one bit for bit.
+validated as bob_state validates its result; the witness claim draws its
+1,000 random pairs first, with the generator calls of a per-pair loop,
+and then reduces them from their W amplitudes and reads them out as one
+stack, each pair validated and checked against the closed form as
+reduced_pair does; the detector claims reuse a readout splitter and count
+vectors built once per space; the resource claims build one W state per
+N; and the Monte Carlo claim evaluates its samples in cache-sized slices.
+Every stacked or cached route equals the per-sample one bit for bit.
 
 A caller-supplied tolerance replaces every claim's own default.  That is
 deliberately blunt: at extreme settings such as 1e-15 the genuinely tight
@@ -64,7 +67,13 @@ from .teleport import (
     optimal_theta,
     simulate_averaged,
 )
-from .witness import reduced_pair, scan_all_pairs, witness_ratio_closed_form, witness_ratio_simulated
+from .witness import (
+    _witness_states,
+    reduced_pair,
+    scan_all_pairs,
+    witness_ratio_closed_form,
+    witness_ratio_simulated,
+)
 
 
 @dataclass(frozen=True)
@@ -181,15 +190,17 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
 
     # -- pairwise witness ------------------------------------------------
 
-    res = 0.0
-    worst_ratio = -math.inf
+    items, dets = [], []
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         coeffs = _random_coefficients(rng, n)
         i, j = sorted(rng.choice(n, size=2, replace=False))
-        det = DetectorModel(float(rng.uniform(0.05, 1.0)))
-        rho2 = reduced_pair(coeffs, int(i), int(j))
-        sim = witness_ratio_simulated(rho2, det)
+        items.append((coeffs, int(i), int(j)))
+        dets.append(DetectorModel(float(rng.uniform(0.05, 1.0))))
+    sims = _witness_states(items, [det.eta for det in dets])
+    res = 0.0
+    worst_ratio = -math.inf
+    for (coeffs, i, j), det, sim in zip(items, dets, sims):
         closed = witness_ratio_closed_form(coeffs.alphas[i], coeffs.alphas[j], det)
         res = max(res, abs(sim.ratio - closed))
         worst_ratio = max(worst_ratio, sim.ratio, closed)

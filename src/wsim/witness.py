@@ -14,16 +14,15 @@ pairs certifies entanglement across every bipartite reduction.
 
 from __future__ import annotations
 
-import dataclasses
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import WCoefficients, _as_coefficients, w_state_from_coefficients
 from .config import TOL
-from .detection import DetectorModel, lossy_moments
-from .fock import DensityOperator, FockSpace, _pad_raw, _photon_numbers, _ptrace_raw
+from .detection import DetectorModel, _lossy_moment_stack
+from .fock import DensityOperator, FockSpace, _check_density_stack, _photon_numbers
 
 
 @dataclass(frozen=True)
@@ -69,46 +68,107 @@ class WitnessScanReport:
 
 
 _PAIR_SPACE = FockSpace(2)
+# where the kept one-photon block of a reduced pair sits in FockSpace(2)
+_VACUUM, _SECOND, _FIRST = (_PAIR_SPACE.index[occ] for occ in ((0, 0), (0, 1), (1, 0)))
+# pairs per stack in scan_all_pairs: bounds the stack's temporaries at any N,
+# while the loop over the W basis in _reduce_pairs runs once per stack
+_PAIR_SLICE = 4096
 
 
 def reduced_pair(w, i: int, j: int) -> DensityOperator:
-    """Two-mode reduction of the W state onto modes (i, j).
+    """Two-mode reduction of the W state onto modes (i, j), in that order.
 
-    Computed by partial trace of the full state, which carries one photon
-    and so lives in the one-photon space of dimension N + 1; the reduced
-    pair is zero-padded into the two-photon space ``FockSpace(2)``.  It is
-    cross-checked against the closed form p|Psi><Psi| + (1-p)|00><00| with
+    The W state carries one photon, so its density |W><W| lives in the
+    one-photon space of dimension N + 1.  The reduced pair keeps the
+    density's 2x2 block at the basis states of modes i and j, and its
+    vacuum entry sums the density's diagonal over every other basis state
+    in basis order, which is the partial trace term for term; the pair is
+    zero-padded into the two-photon space ``FockSpace(2)`` and validated
+    as a normalized DensityOperator.  It is cross-checked against the
+    closed form p|Psi><Psi| + (1-p)|00><00| with
     |Psi> = (alpha_i|10> + alpha_j|01>)/sqrt(p); the two must agree to
     rounding, and a disagreement raises RuntimeError.  Errors with
     ValueError when both coefficients vanish (the reduction is vacuum and
     the witness is vacuous).
+
+    This is the one-pair call of the stacked reduction that scan_all_pairs
+    runs on all pairs of a state.
     """
-    w = _as_coefficients(w)
-    return _reduce_pair(w, w_state_from_coefficients(w).to_density(), i, j)
+    (pair,) = _reduce_states([(_as_coefficients(w), i, j)])
+    return DensityOperator(_PAIR_SPACE, pair, normalized=True)
 
 
-def _reduce_pair(w: WCoefficients, rho: DensityOperator, i: int, j: int) -> DensityOperator:
-    """reduced_pair from an already built density of the W state w."""
-    n = len(w.alphas)
-    i, j = int(i), int(j)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError("pair indices must be distinct and in range")
-    a_i, a_j = w.alphas[i], w.alphas[j]
-    p = abs(a_i) ** 2 + abs(a_j) ** 2
-    if p <= TOL.support:
-        raise ValueError(f"modes ({i}, {j}) carry no photon weight; pair state is vacuum")
-    space = _PAIR_SPACE
-    sub_space, sub = _ptrace_raw(rho.space, rho.matrix, (i, j))
-    traced = DensityOperator(space, _pad_raw(sub_space, sub, space), normalized=rho.normalized)
+def _reduce_states(items) -> np.ndarray:
+    """reduced_pair of each (WCoefficients, i, j) item, every item with its
+    own W state, as a (P, 6, 6) stack.  The densities are zero-padded to
+    the largest N, which appends exact zeros to each vacuum sum."""
+    dim = max(len(w.alphas) for w, _, _ in items) + 1
+    rho = np.zeros((len(items), dim, dim), dtype=complex)
+    first, second, amps, weight = [], [], [], []
+    for k, (w, i, j) in enumerate(items):
+        n = len(w.alphas)
+        v = w_state_from_coefficients(w).to_vector()
+        rho[k, : n + 1, : n + 1] = np.outer(v, v.conj())
+        i, j = int(i), int(j)
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError("pair indices must be distinct and in range")
+        a_i, a_j = w.alphas[i], w.alphas[j]
+        p = abs(a_i) ** 2 + abs(a_j) ** 2
+        if p <= TOL.support:
+            raise ValueError(f"modes ({i}, {j}) carry no photon weight; pair state is vacuum")
+        # the basis lists the vacuum, then the photon in the last mode first
+        first.append(n - i)
+        second.append(n - j)
+        amps.append((a_i, a_j))
+        weight.append(p)
+    return _reduce_pairs(rho, np.array(first), np.array(second), np.array(amps), np.array(weight))
 
-    psi = np.zeros(space.dim, dtype=complex)
-    psi[space.index[(1, 0)]] = a_i / math.sqrt(p)
-    psi[space.index[(0, 1)]] = a_j / math.sqrt(p)
-    closed = p * np.outer(psi, psi.conj())
-    closed[space.index[(0, 0)], space.index[(0, 0)]] = 1.0 - p
-    if np.max(np.abs(traced.matrix - closed)) > TOL.exact_match:
+
+def _reduce_pairs(
+    rho: np.ndarray, first: np.ndarray, second: np.ndarray, amps: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """Reduced pair states from a (P, D, D) stack of one-photon W densities,
+    as a (P, 6, 6) stack in ``FockSpace(2)``.
+
+    Slice p of ``rho`` is the outer product |W><W| of a validated W state
+    (one density may be broadcast to every pair); ``first[p]`` and
+    ``second[p]`` are the basis indices of the photon in the pair's first
+    and second mode, ``amps[p]`` their coefficients and ``weight[p]`` the
+    pair's photon weight p.  Each slice equals, bit for bit, the partial
+    trace plan's reduction of that density zero-padded into FockSpace(2):
+    the plan adds each kept entry onto zero once, and the vacuum entry's
+    terms one by one in basis order.  Every slice is validated as a
+    normalized DensityOperator (a W state is a normalized PureState, so
+    its density has unit trace) and compared with the closed form.
+    """
+    count, dim = rho.shape[0], rho.shape[-1]
+    diag = np.diagonal(rho, axis1=-2, axis2=-1)
+    vacuum = np.zeros(count, dtype=complex)
+    # one term at a time: np.sum adds pairwise and rounds differently
+    for k in range(dim):
+        vacuum += np.where((first == k) | (second == k), 0.0, diag[:, k])
+    kept = np.stack([np.zeros_like(first), second, first], axis=1)
+    block = np.array([_VACUUM, _SECOND, _FIRST])
+    pairs = np.zeros((count, _PAIR_SPACE.dim, _PAIR_SPACE.dim), dtype=complex)
+    # added onto zeros, not assigned: a -0.0 entry comes out as 0.0, as in the plan
+    pairs[:, block[:, None], block] += rho[
+        np.arange(count)[:, None, None], kept[:, :, None], kept[:, None, :]
+    ]
+    pairs[:, _VACUUM, _VACUUM] = vacuum
+    _check_density_stack(pairs, normalized=True)
+    if np.abs(pairs - _closed_pairs(amps, weight)).max() > TOL.exact_match:
         raise RuntimeError("partial trace disagrees with the closed-form pair state")
-    return traced.normalized_copy() if not traced.normalized else traced
+    return pairs
+
+
+def _closed_pairs(amps: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The closed-form pair states p|Psi><Psi| + (1-p)|00><00| for (P, 2)
+    coefficients and their weights p, as a (P, 6, 6) stack."""
+    psi = np.zeros((len(weight), _PAIR_SPACE.dim), dtype=complex)
+    psi[:, [_FIRST, _SECOND]] = amps / np.sqrt(weight)[:, None]
+    closed = weight[:, None, None] * (psi[:, :, None] * psi.conj()[:, None, :])
+    closed[:, _VACUUM, _VACUUM] = 1.0 - weight
+    return closed
 
 
 def witness_ratio_simulated(rho2: DensityOperator, det: DetectorModel) -> PairWitnessResult:
@@ -116,26 +176,49 @@ def witness_ratio_simulated(rho2: DensityOperator, det: DetectorModel) -> PairWi
 
     All moments come from lossy_moments, i.e. from the explicit
     phase-shifter-plus-balanced-splitter readout with the detector's
-    thinning applied.
+    thinning applied.  This is the one-state call of the stacked readout
+    that scan_all_pairs runs on all pairs of a state.
     """
-    var_jx, var_jy, n_plus_meas = lossy_moments(rho2, det)
-    lhs = (1.0 + 4.0 * var_jx) * (1.0 + 4.0 * var_jy)
-    rhs = (1.0 + n_plus_meas) ** 2
-    ratio = lhs / rhs
-    diag = np.real(np.diag(rho2.matrix))
-    p = float(diag @ _photon_numbers(rho2.space))
-    note = None
-    if p <= TOL.support:
-        note = "state carries no photon; the test is vacuous"
-    return PairWitnessResult(
-        pair=None,
-        p_ij=p,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        violated=ratio < 1.0 - TOL.violation,
-        note=note,
-    )
+    return _witness_stack(rho2.space, rho2.matrix[None], [det.eta], [None])[0]
+
+
+def _witness_stack(space: FockSpace, matrices: np.ndarray, etas, pairs) -> list[PairWitnessResult]:
+    """witness_ratio_simulated of each matrix of a C-contiguous (P, dim, dim)
+    stack of validated two-mode states, read by detectors of efficiency
+    etas[p] and labelled pairs[p]; entry p is bit for bit that of slice p
+    alone."""
+    # one 1-D dot per slice, as for the moments (see _difference_statistics)
+    weights = np.vecdot(
+        np.real(np.diagonal(matrices, axis1=-2, axis2=-1)), _photon_numbers(space)
+    ).tolist()
+    out = []
+    for p, (var_jx, var_jy, n_plus_meas), pair in zip(
+        weights, _lossy_moment_stack(space, matrices, etas), pairs
+    ):
+        lhs = (1.0 + 4.0 * var_jx) * (1.0 + 4.0 * var_jy)
+        rhs = (1.0 + n_plus_meas) ** 2
+        ratio = lhs / rhs
+        note = None
+        if p <= TOL.support:
+            note = "state carries no photon; the test is vacuous"
+        out.append(
+            PairWitnessResult(
+                pair=pair,
+                p_ij=p,
+                lhs=lhs,
+                rhs=rhs,
+                ratio=ratio,
+                violated=ratio < 1.0 - TOL.violation,
+                note=note,
+            )
+        )
+    return out
+
+
+def _witness_states(items, etas) -> list[PairWitnessResult]:
+    """witness_ratio_simulated(reduced_pair(w, i, j), DetectorModel(eta))
+    for each (w, i, j) item and its eta, run as one stack."""
+    return _witness_stack(_PAIR_SPACE, _reduce_states(items), etas, [None] * len(items))
 
 
 def witness_ratio_closed_form(alpha_i: complex, alpha_j: complex, det: DetectorModel) -> float:
@@ -161,33 +244,50 @@ def witness_ratio_closed_form(alpha_i: complex, alpha_j: complex, det: DetectorM
 def scan_all_pairs(w, det: DetectorModel) -> WitnessScanReport:
     """Witness every mode pair of a W state; certify full pairwise violation.
 
-    The W state and its density are built once; every pair is reduced
-    from them as reduced_pair would.  Pairs where both coefficients vanish
-    are reported as non-violations with a note instead of raising, so
-    degenerate inputs yield a truthful failed certification.
+    The W state's amplitude vector and its density are built once; the
+    pairs are reduced and read out in stacks of _PAIR_SLICE, each pair
+    bit for bit as reduced_pair and witness_ratio_simulated give it, and
+    each checked against the closed form.  Pairs where both coefficients
+    vanish are reported as non-violations with a note instead of raising,
+    so degenerate inputs yield a truthful failed certification.
     """
     w = _as_coefficients(w)
     n = len(w.alphas)
-    rho = w_state_from_coefficients(w).to_density()
-    results = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = abs(w.alphas[i]) ** 2 + abs(w.alphas[j]) ** 2
-            if p <= TOL.support:
-                results.append(
-                    PairWitnessResult(
-                        pair=(i, j),
-                        p_ij=0.0,
-                        lhs=1.0,
-                        rhs=1.0,
-                        ratio=1.0,
-                        violated=False,
-                        note="both coefficients vanish; pair state is vacuum",
-                    )
-                )
-                continue
-            res = witness_ratio_simulated(_reduce_pair(w, rho, i, j), det)
-            results.append(dataclasses.replace(res, pair=(i, j)))
+    v = w_state_from_coefficients(w).to_vector()
+    rho = np.outer(v, v.conj())
+    alphas = np.array(w.alphas, dtype=complex)
+    firsts, seconds = np.triu_indices(n, k=1)
+    weight = np.array([abs(a) ** 2 for a in w.alphas])
+    weight = weight[firsts] + weight[seconds]
+    results = [
+        PairWitnessResult(
+            pair=(i, j),
+            p_ij=0.0,
+            lhs=1.0,
+            rhs=1.0,
+            ratio=1.0,
+            violated=False,
+            note="both coefficients vanish; pair state is vacuum",
+        )
+        if p <= TOL.support
+        else None
+        for i, j, p in zip(firsts.tolist(), seconds.tolist(), weight.tolist())
+    ]
+    live = np.flatnonzero(weight > TOL.support)
+    for start in range(0, len(live), _PAIR_SLICE):
+        rows = live[start : start + _PAIR_SLICE]
+        i, j = firsts[rows], seconds[rows]
+        pairs = _reduce_pairs(
+            np.broadcast_to(rho, (len(rows),) + rho.shape),
+            n - i,
+            n - j,
+            np.stack([alphas[i], alphas[j]], axis=1),
+            weight[rows],
+        )
+        labels = zip(i.tolist(), j.tolist())
+        stack = _witness_stack(_PAIR_SPACE, pairs, itertools.repeat(det.eta), labels)
+        for row, res in zip(rows.tolist(), stack):
+            results[row] = res
     all_violated = all(r.violated for r in results)
     if all_violated:
         conclusion = (

@@ -1,11 +1,14 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsim.cli import main
 
@@ -242,6 +245,51 @@ class _RecordingPool:
 
     def map(self, fn, tasks):
         return map(fn, tasks)
+
+
+def run_captured(argv):
+    """main(argv) with stdout captured: capsys is function-scoped, which
+    Hypothesis examples must not share."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+grid_values = st.floats(0.05, 1.0).map(lambda x: round(x, 4))
+
+
+@st.composite
+def teleport_grids(draw):
+    """A teleport sweep, --optimize or --critical-eta command line of at
+    most eight rows."""
+    ns = draw(st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=2, unique=True))
+    argv = ["teleport", "--N", ",".join(map(str, ns)), "--m", "0,1"]
+    argv += ["--detector", draw(st.sampled_from(["number", "onoff"]))]
+    mode = draw(st.sampled_from(["sweep", "optimize", "critical"]))
+    if mode == "critical":
+        return argv + ["--critical-eta"]
+    etas = draw(st.lists(grid_values, min_size=1, max_size=2))
+    argv += ["--eta", ",".join(map(str, etas))]
+    argv += ["--events", draw(st.sampled_from(["D10", "D01", "both"]))]
+    if mode == "optimize":
+        return argv + ["--optimize"]
+    return argv + ["--theta", str(draw(grid_values))]
+
+
+class TestJobsByteIdentity:
+    @settings(max_examples=5, deadline=None)
+    @given(argv=teleport_grids())
+    def test_csv_and_json(self, argv):
+        for fmt in ([], ["--json"]):
+            code1, out1 = run_captured(argv + fmt + ["--jobs", "1"])
+            code2, out2 = run_captured(argv + fmt + ["--jobs", "2"])
+            assert code1 == code2 == 0
+            if fmt:
+                # the JSON config records the jobs count, and only there
+                assert out1.count('"jobs": 1') == 1
+                out1 = out1.replace('"jobs": 1', '"jobs": 2')
+            assert out1 == out2
 
 
 class TestJobsCap:

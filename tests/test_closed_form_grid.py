@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wsim import (
+    BellEvent,
     TeleportParams,
     averaged_fidelity_curve,
     averaged_fidelity_probability,
@@ -73,6 +74,40 @@ class TestCurveEqualsReports:
         assert np.array_equal(averaged_fidelity_curve(a, grid), averaged_fidelity_curve(b, grid))
 
 
+def reference_fbar(params, theta):
+    """The closed-form fidelity at one angle written out with math and
+    Python floats, event by event, as the per-angle report once computed
+    it: the oracle for the angle terms that the curve and the reports
+    share."""
+    s2 = math.sin(2.0 * theta)
+    num = den = 0.0
+    for event in params.events:
+        angle = theta if event is BellEvent.D10 else theta + HALF_PI
+        r = (params.N - params.eta * params.m - 2.0) * math.cos(angle) ** 2 + 1.0 - params.eta
+        if params.detector_kind == "onoff":
+            r += 2.0 * params.eta * (math.sin(theta) * math.cos(theta)) ** 2
+        num += (2.0 + s2 + r) / 3.0
+        den += 1.0 + r
+    return num / den
+
+
+class TestCurveEqualsReference:
+    @settings(max_examples=80, deadline=None)
+    @given(params=teleport_params(), inner=st.lists(angles, max_size=40))
+    def test_bit_identical(self, params, inner):
+        grid = [0.0, *inner, HALF_PI]
+        expected = [reference_fbar(params, t) for t in grid]
+        assert averaged_fidelity_curve(params, grid).tolist() == expected
+
+    @pytest.mark.parametrize("kind", ["number", "onoff"])
+    def test_dense_random_grid(self, kind):
+        # squares by libm pow and by x*x differ in about one angle per thousand
+        grid = np.random.default_rng(3).uniform(0.0, HALF_PI, 20_000).tolist()
+        params = TeleportParams(7, 2, 0.65, 0.0, kind, "both")
+        expected = [reference_fbar(params, t) for t in grid]
+        assert averaged_fidelity_curve(params, grid).tolist() == expected
+
+
 bad_angles = st.one_of(
     st.just(math.nan),
     st.just(math.inf),
@@ -103,7 +138,7 @@ class TestCurveRejects:
             averaged_fidelity_curve(TeleportParams(3, 0, 1.0, 0.0), [[0.1, 0.2]])
 
     def test_curve_outside_unit_interval_raises(self, monkeypatch):
-        monkeypatch.setattr(teleport, "_fbar", lambda params, theta=None: 1.5)
+        monkeypatch.setattr(teleport, "_closed_integrals", lambda params, terms: (1.5, 1.0))
         with pytest.raises(ValueError):
             averaged_fidelity_curve(TeleportParams(3, 0, 1.0, 0.0), [0.1])
 

@@ -96,6 +96,14 @@ class TestStates:
         with pytest.raises(ValueError):
             PureState(FockSpace(2), {(2, 1): 1.0})
 
+    @pytest.mark.parametrize("occ", [(1.5, 0), (0, 0.999), (np.float64(0.5), 1), ("1", 0)])
+    def test_non_integer_occupation_rejected(self, occ):
+        # int() would truncate (1.5, 0) to the basis state |1, 0>
+        with pytest.raises(ValueError, match="non-integer"):
+            PureState(FockSpace(2), {occ: 1.0})
+        with pytest.raises(ValueError, match="non-integer"):
+            fock_state(FockSpace(2), occ)
+
     def test_subnormalized_needs_flag(self):
         with pytest.raises(ValueError):
             PureState(FockSpace(2), {(0, 1): 0.5})

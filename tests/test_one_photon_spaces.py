@@ -107,16 +107,16 @@ class TestExactAgainstTwoPhotonRoute:
 
 class TestReducedPairCrossCheck:
     def test_disagreement_is_a_runtime_error(self, monkeypatch):
-        original = witness._ptrace_raw
+        original = witness._closed_pairs
 
-        def skewed(space, matrix, keep):
+        def skewed(amps, weight):
             # damp the pair's coherence: still a valid state, but not the W pair
-            out_space, out = original(space, matrix, keep)
-            out[1, 2] *= 1.0 - 1e-9
-            out[2, 1] *= 1.0 - 1e-9
-            return out_space, out
+            closed = original(amps, weight)
+            closed[:, 1, 2] *= 1.0 - 1e-9
+            closed[:, 2, 1] *= 1.0 - 1e-9
+            return closed
 
-        monkeypatch.setattr(witness, "_ptrace_raw", skewed)
+        monkeypatch.setattr(witness, "_closed_pairs", skewed)
         w = WCoefficients((0.6, 0.8j))
         with pytest.raises(RuntimeError):
             reduced_pair(w, 0, 1)
