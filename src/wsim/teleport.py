@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -313,6 +314,14 @@ def averaged_fidelity_curve(params: TeleportParams, thetas) -> np.ndarray:
     angle.  Each angle is checked against the TeleportParams bound and
     the curve against the TeleportReport bound; ValueError otherwise.
     """
+    return _curve_on_terms(params, _grid_terms(thetas))
+
+
+def _grid_terms(thetas) -> np.ndarray:
+    """The grid step of averaged_fidelity_curve: ``thetas`` checked as a
+    1-D sequence of angles in [0, pi/2], and its _angle_terms as a (4,
+    len(thetas)) float64 array.  Parameter-free, so one grid serves every
+    (N, m, eta) evaluated on it."""
     grid = np.asarray(thetas, dtype=float)
     if grid.ndim != 1:
         raise ValueError("splitter angles must form a 1-D sequence")
@@ -320,7 +329,14 @@ def averaged_fidelity_curve(params: TeleportParams, thetas) -> np.ndarray:
     for theta in grid:
         if not 0.0 <= theta <= math.pi / 2 + 1e-12:
             raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
-    num, den = _closed_integrals(params, np.array(_angle_terms(grid), dtype=float))
+    return np.array(_angle_terms(grid), dtype=float)
+
+
+def _curve_on_terms(params: TeleportParams, terms: np.ndarray) -> np.ndarray:
+    """The evaluation step of averaged_fidelity_curve: the fidelity curve
+    on the terms of _grid_terms, checked against the TeleportReport
+    bound."""
+    num, den = _closed_integrals(params, terms)
     curve = num / den
     if not np.all((-TOL.norm <= curve) & (curve <= 1.0 + TOL.norm)):
         raise ValueError("average fidelity outside [0, 1]")
@@ -559,12 +575,12 @@ def _event_integrals(kernels: np.ndarray) -> tuple[float, float]:
     return float(int_f.real), float(int_p.real)
 
 
-def _sampled_monomials(rng: np.random.Generator, size: int) -> tuple[np.ndarray, ...]:
-    """Draw ``size`` qubits a|1> + b|0> uniformly on the Bloch sphere and
-    return the coefficient of each operator-basis slot: b b, conj(a) b,
-    a b, |a|^2."""
-    x = rng.uniform(-1.0, 1.0, size)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size)
+def _monomials(x: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coefficient of each operator-basis slot for the qubits a|1> + b|0>
+    with |a|^2 = (1 + x)/2 and relative phase phi: b b, conj(a) b, a b,
+    |a|^2.  Uniform x in [-1, 1] and phi in [0, 2 pi) are uniform on the
+    Bloch sphere.  Elementwise, so a slice of (x, phi) gives the same
+    slice of every monomial."""
     a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
     b = np.sqrt((1.0 - x) / 2.0)
     return b * b, np.conj(a) * b, a * b, np.abs(a) ** 2
@@ -575,7 +591,7 @@ _SAMPLE_BLOCK = 16_384
 
 def _sample_values(kernels: np.ndarray, monomials: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized fidelity and probability of sampled qubits, given their
-    amplitude monomials from _sampled_monomials."""
+    amplitude monomials from _monomials."""
     bb, cab, ab, aa = monomials
     f = np.zeros(aa.shape, dtype=complex)
     p = np.zeros(aa.shape, dtype=complex)
@@ -645,6 +661,21 @@ def simulate_averaged(
     raise ValueError(f"unknown averaging method {method!r}")
 
 
+def _positive_count(name: str, value) -> int:
+    """``value`` as a Python int of at least 1: Python and numpy integers
+    pass, bools, floats and everything else raise ValueError naming
+    ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} {count} must be at least 1")
+    return count
+
+
 @dataclass(frozen=True)
 class MCResult:
     """Monte Carlo Bloch average with ratio-estimator standard errors."""
@@ -663,12 +694,15 @@ def mc_averaged(
 
     Samples are drawn in fixed-size chunks from independently spawned
     substreams and accumulated in chunk order, so the result depends only
-    on (seed, n_samples, chunks), never on execution schedule.
+    on (seed, n_samples, chunks), never on execution schedule.  A chunk
+    holds its draws (x and phi) and its per-sample values (f and p); the
+    amplitude monomials are built per cache-sized slice of the draws, so
+    no complex array spans a whole chunk.  n_samples and chunks must be
+    integers (Python or numpy, not bool) of at least 1; ValueError
+    otherwise.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples {n_samples} must be at least 1")
-    if chunks < 1:
-        raise ValueError(f"chunks {chunks} must be at least 1")
+    n_samples = _positive_count("n_samples", n_samples)
+    chunks = _positive_count("chunks", chunks)
     mats = _transported(params)
     event_kernels = [_condition_kernels(mats, params, e) for e in params.events]
     sizes = [
@@ -676,15 +710,18 @@ def mc_averaged(
     ]
     sum_f = sum_p = sum_ff = sum_pp = sum_fp = 0.0
     for seq, size in zip(np.random.SeedSequence(seed).spawn(chunks), sizes):
-        monomials = _sampled_monomials(np.random.default_rng(seq), size)
+        rng = np.random.default_rng(seq)
+        x = rng.uniform(-1.0, 1.0, size)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size)
         f = np.zeros(size)
         p = np.zeros(size)
-        # each sample's values depend on its own monomials only, so slices
-        # whose temporaries fit in cache give the same values
+        # each sample's values depend on its own draws only, so slices whose
+        # monomials and temporaries fit in cache give the same values
         for start in range(0, size, _SAMPLE_BLOCK):
             block = slice(start, start + _SAMPLE_BLOCK)
+            monomials = _monomials(x[block], phi[block])
             for kernels in event_kernels:
-                df, dp = _sample_values(kernels, tuple(x[block] for x in monomials))
+                df, dp = _sample_values(kernels, monomials)
                 f[block] += df
                 p[block] += dp
         sum_f += f.sum()
@@ -822,8 +859,12 @@ def nonadvantageous_bound(
     Sweeps the splitter angle on a grid and Bob's only available correction
     (a phase shift, sampled on {0, pi} plus a uniform grid) with
     number-resolving detectors.  Events with vanishing probability at a
-    grid point contribute nothing there.
+    grid point contribute nothing there.  n_theta and n_phase must be
+    integers of at least 1 (an empty grid would bound nothing); ValueError
+    otherwise.
     """
+    n_theta = _positive_count("n_theta", n_theta)
+    n_phase = _positive_count("n_phase", n_phase)
     base = TeleportParams(n, m, eta, 0.0)
     phases = np.array(
         sorted({0.0, math.pi} | {2.0 * math.pi * k / n_phase for k in range(n_phase)})

@@ -8,16 +8,19 @@ single seeded generator so identical seeds reproduce identical records.
 The dense splitter-angle grids of the optimization claims evaluate the
 closed form through averaged_fidelity_curve, which equals the per-angle
 averaged_fidelity_probability bit for bit without building a parameter
-object or a report per angle.  The sampled cross-checks pay their fixed
-costs once per stack, not once per sample: the quadrature claim sends all
-of a tuple's nodes through Bob's pipeline as one stack, each node
-validated as bob_state validates its result; the witness claim draws its
-1,000 random pairs first, with the generator calls of a per-pair loop,
-and then reduces them from their W amplitudes and reads them out as one
-stack, each pair validated and checked against the closed form as
-reduced_pair does; the detector claims reuse a readout splitter and count
-vectors built once per space; the resource claims build one W state per
-N; and the Monte Carlo claim evaluates its samples in cache-sized slices.
+object or a report per angle; the optimal-angle claim checks its grid and
+computes its angle terms once for all 24 (N, m, eta).  The sampled
+cross-checks pay their fixed costs once per stack, not once per sample:
+the quadrature claim sends all of a tuple's nodes through Bob's pipeline
+as one stack, each node validated as bob_state validates its result; the
+witness claim draws its 1,000 random pairs first, with the generator calls
+of a per-pair loop, and then reduces them from their W amplitudes and
+reads them out as one stack, each pair validated and checked against the
+closed form as reduced_pair does; the detector claims reuse a readout
+splitter and count vectors built once per space; the resource claims
+build one W state per N; and the Monte Carlo claim builds its amplitude
+monomials and evaluates its samples in cache-sized slices, so that no
+complex array spans a whole chunk.
 Every stacked or cached route equals the per-sample one bit for bit.
 
 A caller-supplied tolerance replaces every claim's own default.  That is
@@ -51,6 +54,8 @@ from .fock import DensityOperator, FockSpace
 from .teleport import (
     TeleportParams,
     UnknownQubit,
+    _curve_on_terms,
+    _grid_terms,
     averaged_fidelity_curve,
     averaged_fidelity_probability,
     bob_state,
@@ -378,6 +383,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
     res_angle = 0.0
     res_value = 0.0
     thetas = np.linspace(0.0, math.pi / 2.0, 2001)
+    terms = _grid_terms(thetas)
     for n, m in grid:
         for eta in (0.3, 0.7, 1.0):
             base = TeleportParams(n, m, eta, 0.0)
@@ -385,7 +391,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
             def fidelity_at(t: float) -> float:
                 return float(averaged_fidelity_curve(base, [t])[0])
 
-            values = averaged_fidelity_curve(base, thetas)
+            values = _curve_on_terms(base, terms)
             k = min(max(int(np.argmax(values)), 1), len(thetas) - 2)
             t_num = _refine_max(fidelity_at, float(thetas[k]), float(thetas[1] - thetas[0]))
             t_closed = optimal_theta(n, m, eta)

@@ -454,10 +454,10 @@ class TestStackedKernels:
         kernels = teleport._condition_kernels(
             teleport._transported(params), params, teleport.BellEvent.D01
         )
-        monomials = teleport._sampled_monomials(np.random.default_rng(2), 1000)
         rng = np.random.default_rng(2)
         x = rng.uniform(-1.0, 1.0, 1000)
         phi = rng.uniform(0.0, 2.0 * math.pi, 1000)
+        monomials = teleport._monomials(x, phi)
         a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
         b = np.sqrt((1.0 - x) / 2.0)
         f = np.zeros(a.shape, dtype=complex)

@@ -1,13 +1,15 @@
 """Stacked runs of the simulated teleport pipeline.
 
 simulate_averaged's quadrature sends all of its nodes through _bob_states
-as one stack, and mc_averaged evaluates its samples in slices.  Each must
-equal, bit for bit, the per-node and unsliced computations they replace,
-which are kept here as oracles; the stack validator must reject a single
-bad slice exactly as DensityOperator rejects that matrix.
+as one stack, and mc_averaged builds its monomials and evaluates its samples
+in slices.  Each must equal, bit for bit, the per-node and unsliced
+computations they replace, which are kept here as oracles; the stack
+validator must reject a single bad slice exactly as DensityOperator
+rejects that matrix.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,14 +138,23 @@ class TestStackEqualsLoop:
             tensor(DensityOperator(space, two), conditional_resource(params))
 
 
+def sampled_monomials(rng, size):
+    """Draw ``size`` qubits uniformly on the Bloch sphere, all of x and then
+    all of phi, and return their monomials for the whole draw at once."""
+    x = rng.uniform(-1.0, 1.0, size)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size)
+    return teleport._monomials(x, phi)
+
+
 def loop_mc(params, n_samples, seed, chunks):
-    """mc_averaged with every chunk's samples evaluated in one piece."""
+    """mc_averaged with every chunk's monomials built and its samples
+    evaluated in one piece."""
     mats = teleport._transported(params)
     event_kernels = [teleport._condition_kernels(mats, params, e) for e in params.events]
     sizes = [n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)]
     sum_f = sum_p = sum_ff = sum_pp = sum_fp = 0.0
     for seq, size in zip(np.random.SeedSequence(seed).spawn(chunks), sizes):
-        monomials = teleport._sampled_monomials(np.random.default_rng(seq), size)
+        monomials = sampled_monomials(np.random.default_rng(seq), size)
         f = np.zeros(size)
         p = np.zeros(size)
         for kernels in event_kernels:
@@ -164,7 +175,7 @@ class TestBlockedSamples:
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
         mats = teleport._transported(params)
         kernels = teleport._condition_kernels(mats, params, BellEvent.D01)
-        monomials = teleport._sampled_monomials(np.random.default_rng(size), size)
+        monomials = sampled_monomials(np.random.default_rng(size), size)
         f, p = teleport._sample_values(kernels, monomials)
         for block in (7, 1000, teleport._SAMPLE_BLOCK):
             parts = [
@@ -179,25 +190,45 @@ class TestBlockedSamples:
         if block is not None:
             monkeypatch.setattr(teleport, "_SAMPLE_BLOCK", block)
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
-        n_samples, seed, chunks = 40_003, 3, 3
-        sum_f, sum_p, sum_ff, sum_pp, sum_fp = loop_mc(params, n_samples, seed, chunks)
-        mean_f, mean_p = sum_f / n_samples, sum_p / n_samples
-        fbar = mean_f / mean_p
-        var_resid = max(
-            sum_ff / n_samples
-            - 2.0 * fbar * sum_fp / n_samples
-            + fbar**2 * sum_pp / n_samples
-            - (mean_f - fbar * mean_p) ** 2,
-            0.0,
-        )
-        expected = MCResult(
-            avg_fidelity=fbar,
-            avg_probability=mean_p,
-            stderr_fidelity=math.sqrt(var_resid / n_samples) / mean_p,
-            stderr_probability=math.sqrt(max(sum_pp / n_samples - mean_p**2, 0.0) / n_samples),
-            n_samples=n_samples,
-        )
-        assert mc_averaged(params, n_samples, seed, chunks) == expected
+        seed = 3
+        # (n_samples, chunks): chunks of 13,335 / 13,334 samples; more chunks
+        # than samples (three empty chunks); one sample; chunks of 25,000
+        # samples, past one default block and not a multiple of any block
+        for n_samples, chunks in [(40_003, 3), (5, 8), (1, 1), (50_000, 2)]:
+            sum_f, sum_p, sum_ff, sum_pp, sum_fp = loop_mc(params, n_samples, seed, chunks)
+            mean_f, mean_p = sum_f / n_samples, sum_p / n_samples
+            fbar = mean_f / mean_p
+            var_resid = max(
+                sum_ff / n_samples
+                - 2.0 * fbar * sum_fp / n_samples
+                + fbar**2 * sum_pp / n_samples
+                - (mean_f - fbar * mean_p) ** 2,
+                0.0,
+            )
+            var_p = max(sum_pp / n_samples - mean_p**2, 0.0)
+            expected = MCResult(
+                avg_fidelity=fbar,
+                avg_probability=mean_p,
+                stderr_fidelity=math.sqrt(var_resid / n_samples) / mean_p,
+                stderr_probability=math.sqrt(var_p / n_samples),
+                n_samples=n_samples,
+            )
+            assert mc_averaged(params, n_samples, seed, chunks) == expected, (n_samples, chunks)
+
+    def test_mc_averaged_memory_per_sample(self):
+        # a chunk keeps its draws and per-sample values (x, phi, f, p and
+        # one f * f temporary: 40 bytes a sample); whole-chunk complex
+        # monomials would add 64 bytes a sample and more in temporaries
+        params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
+        n_samples = 400_000
+        mc_averaged(params, n_samples=1, chunks=1)  # cached kernels stay out of the trace
+        tracemalloc.start()
+        try:
+            mc_averaged(params, n_samples=n_samples, chunks=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n_samples + 4 * 2**20
 
 
 def valid_stack(rng, size=4, dim=3):

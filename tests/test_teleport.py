@@ -241,15 +241,24 @@ class TestAveraging:
                 total += w / 2.0 / n_azimuth * f(qubit)
         assert bloch_average(f, n_polar, n_azimuth) == total
 
-    @pytest.mark.parametrize("n_samples", [0, -3])
+    # besides counts below 1: floats, bools and non-numbers are no counts
+    NOT_COUNTS = [1e4, 2.5, 3.0, True, np.True_, "8", None, np.float64(4.0)]
+
+    @pytest.mark.parametrize("n_samples", [0, -3] + NOT_COUNTS)
     def test_monte_carlo_needs_samples(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             mc_averaged(TeleportParams(3, 1, 0.8, 0.5), n_samples=n_samples)
 
-    @pytest.mark.parametrize("chunks", [0, -1])
+    @pytest.mark.parametrize("chunks", [0, -1] + NOT_COUNTS)
     def test_monte_carlo_needs_chunks(self, chunks):
         with pytest.raises(ValueError, match="chunks"):
             mc_averaged(TeleportParams(3, 1, 0.8, 0.5), n_samples=100, chunks=chunks)
+
+    def test_monte_carlo_accepts_numpy_integers(self):
+        params = TeleportParams(3, 1, 0.8, 0.5)
+        got = mc_averaged(params, n_samples=np.int64(100), chunks=np.int32(3))
+        assert got == mc_averaged(params, n_samples=100, chunks=3)
+        assert type(got.n_samples) is int
 
     def test_monte_carlo_determinism_and_coverage(self):
         params = TeleportParams(4, 1, 0.8, 0.9, event_set="both")
@@ -379,6 +388,20 @@ class TestRejectedEvents:
         assert set(bounds) == set(e for e in bell_events() if not e.advantageous)
         for value in bounds.values():
             assert value <= 2.0 / 3.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "grid, name",
+        [
+            ({"n_theta": 0}, "n_theta"),
+            ({"n_theta": -5}, "n_theta"),
+            ({"n_phase": 0}, "n_phase"),
+            ({"n_phase": -1}, "n_phase"),
+            ({"n_theta": 10.0}, "n_theta"),
+        ],
+    )
+    def test_empty_grid_rejected(self, grid, name):
+        with pytest.raises(ValueError, match=name):
+            nonadvantageous_bound(3, 0, 1.0, **grid)
 
 
 class TestClosedFormPieces:
