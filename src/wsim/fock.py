@@ -376,27 +376,44 @@ def _check_two_mode_unitary(u) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=16)
+def _two_mode_table_plan(max_photons: int) -> tuple:
+    """The u-independent factors of _two_mode_table: for each sector n and
+    input k, the binomials comb(k, p) and comb(n - k, q) of the expansion
+    with their exponents, the input norm sqrt(k! (n-k)!) and the output
+    norms sqrt(p! (n-p)!)."""
+    plan = []
+    for n in range(max_photons + 1):
+        norms = tuple(math.sqrt(math.factorial(p) * math.factorial(n - p)) for p in range(n + 1))
+        for k in range(n + 1):
+            first = tuple((p, math.comb(k, p)) for p in range(k + 1))
+            second = tuple((q, math.comb(n - k, q)) for q in range(n - k + 1))
+            plan.append((n, k, first, second, norms[k], norms))
+    return tuple(plan)
+
+
 def _two_mode_table(u: np.ndarray, max_photons: int) -> np.ndarray:
     """Number-conserving blocks of the two-mode Fock unitary induced by u,
     packed as table[n, p, k].
 
     Block n maps the (n+1)-dimensional sector spanned by |k, n-k>, indexed
     by k = photons in the first mode.  Built by expanding the transformed
-    creation-operator polynomial (a_1^dag)^k (a_2^dag)^(n-k).
+    creation-operator polynomial (a_1^dag)^k (a_2^dag)^(n-k); each power of
+    an entry of u is computed once per call.
     """
     table = np.zeros((max_photons + 1,) * 3, dtype=complex)
-    for n in range(max_photons + 1):
-        for k in range(n + 1):
-            poly = np.zeros(n + 1, dtype=complex)  # poly[p]: coeff of x^p y^(n-p)
-            for p in range(k + 1):
-                c1 = math.comb(k, p) * u[0, 0] ** p * u[1, 0] ** (k - p)
-                for q in range(n - k + 1):
-                    c2 = math.comb(n - k, q) * u[0, 1] ** q * u[1, 1] ** (n - k - q)
-                    poly[p + q] += c1 * c2
-            norm_in = math.sqrt(math.factorial(k) * math.factorial(n - k))
-            for p in range(n + 1):
-                norm_out = math.sqrt(math.factorial(p) * math.factorial(n - p))
-                table[n, p, k] = poly[p] * norm_out / norm_in
+    u00, u01, u10, u11 = (
+        [u[a, b] ** j for j in range(max_photons + 1)] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    zero = np.complex128(0.0)
+    for n, k, first, second, norm_in, norms_out in _two_mode_table_plan(max_photons):
+        poly = [zero] * (n + 1)  # poly[p]: coeff of x^p y^(n-p), complex128 scalars
+        c2s = [(q, c * u01[q] * u11[n - k - q]) for q, c in second]
+        for p, c in first:
+            c1 = c * u00[p] * u10[k - p]
+            for q, c2 in c2s:
+                poly[p + q] += c1 * c2
+        table[n, : n + 1, k] = [coeff * norm / norm_in for coeff, norm in zip(poly, norms_out)]
     return table
 
 

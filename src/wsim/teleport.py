@@ -538,7 +538,9 @@ def _event_weight_sqrt(event: BellEvent, eta: float, kind: str) -> np.ndarray:
 def _transported(params: TeleportParams, thetas=None) -> np.ndarray:
     """The four operator-basis inputs pushed through tensor + splitter, as a
     (4, 10, 10) stack at params.theta, or (len(thetas), 4, 10, 10) with one
-    leading entry per splitter angle in ``thetas``."""
+    leading entry per splitter angle in ``thetas``.  The splitter at
+    params.theta comes from _bell_unitary's cache; a grid's splitters are
+    built uncached, since a grid angle is used once."""
     resource = conditional_resource(params).matrix
     slot, rows, cols, r_rows, r_cols = _operator_basis_maps()
     dim = _JOINT_SPACE.dim
@@ -547,7 +549,12 @@ def _transported(params: TeleportParams, thetas=None) -> np.ndarray:
     if thetas is None:
         u = _bell_unitary(params.theta)
     else:
-        u = np.stack([_bell_unitary(float(theta)) for theta in thetas])[:, None]
+        u = np.stack(
+            [
+                _embedded_unitary(_JOINT_SPACE, (0, 1), bell_splitter(float(theta)))
+                for theta in thetas
+            ]
+        )[:, None]
     return u @ t @ u.conj().swapaxes(-1, -2)
 
 
@@ -586,20 +593,51 @@ def _monomials(x: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
     return b * b, np.conj(a) * b, a * b, np.abs(a) ** 2
 
 
-_SAMPLE_BLOCK = 16_384
+# samples per leaf of mc_averaged's walk: a leaf's complex arrays (64 KiB
+# each) stay below glibc's 128 KiB mmap threshold, so they reuse heap memory
+_SAMPLE_BLOCK = 4096
+# numpy's pairwise float sum adds at most this many items in one unrolled
+# loop and splits longer runs (Higham, SIAM J. Sci. Comput. 14, 783, 1993)
+_SUM_BLOCK = 128
 
 
 def _sample_values(kernels: np.ndarray, monomials: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized fidelity and probability of sampled qubits, given their
-    amplitude monomials from _monomials."""
+    amplitude monomials from _monomials.
+
+    Photon-number conservation leaves 5 of an event's 36 kernel entries
+    nonzero.  A term whose kernel entry is exactly zero would only add a
+    signed zero, so it is skipped; the other terms add in the order of
+    the dense sum aa k11 + cab k10 + ab k01 + bb k00."""
     bb, cab, ab, aa = monomials
     f = np.zeros(aa.shape, dtype=complex)
     p = np.zeros(aa.shape, dtype=complex)
     for coeff, k in zip(monomials, kernels):
-        inner = aa * k[1, 1] + cab * k[1, 0] + ab * k[0, 1] + bb * k[0, 0]
-        f += coeff * inner
-        p += coeff * np.trace(k)
+        inner = None
+        for monomial, entry in ((aa, k[1, 1]), (cab, k[1, 0]), (ab, k[0, 1]), (bb, k[0, 0])):
+            if entry != 0:
+                inner = monomial * entry if inner is None else inner + monomial * entry
+        if inner is not None:
+            f += coeff * inner
+        trace = np.trace(k)
+        if trace != 0:
+            p += coeff * trace
     return f.real, p.real
+
+
+def _tree_sums(n: int, leaf_sums, leaf: int) -> np.ndarray:
+    """Sums over n items as numpy's pairwise sum adds them, walked down to
+    leaves of at most max(leaf, _SUM_BLOCK) items.
+
+    ``leaf_sums(count)`` returns an array of sums over the next ``count``
+    items, as np.sum gives them; parents add left + right.  Up to the sign
+    of an exactly zero sum, each entry is bit for bit the np.sum over all
+    n items, and the two agree once added to a float that starts at 0.0."""
+    if n <= max(leaf, _SUM_BLOCK):
+        return leaf_sums(n)
+    # numpy's left part: half the run, rounded down to its 8-way unrolling
+    left = n // 2 - n // 2 % 8
+    return _tree_sums(left, leaf_sums, leaf) + _tree_sums(n - left, leaf_sums, leaf)
 
 
 def _bloch_nodes(n_polar: int, n_azimuth: int) -> list[tuple[float, UnknownQubit]]:
@@ -694,12 +732,19 @@ def mc_averaged(
 
     Samples are drawn in fixed-size chunks from independently spawned
     substreams and accumulated in chunk order, so the result depends only
-    on (seed, n_samples, chunks), never on execution schedule.  A chunk
-    holds its draws (x and phi) and its per-sample values (f and p); the
-    amplitude monomials are built per cache-sized slice of the draws, so
-    no complex array spans a whole chunk.  n_samples and chunks must be
-    integers (Python or numpy, not bool) of at least 1; ValueError
-    otherwise.
+    on (seed, n_samples, chunks), never on execution schedule.  A chunk's
+    substream gives all of its x and then all of its phi.
+
+    No array spans a chunk.  Each chunk walks numpy's pairwise-sum tree
+    (_tree_sums) down to leaves of at most _SAMPLE_BLOCK = 4,096 samples,
+    small enough that every complex temporary stays below glibc's mmap
+    threshold.  A leaf draws its x from the chunk's generator and its phi
+    from a second generator on the same seed, advanced past the chunk's
+    x (one 64-bit word per double); it evaluates its per-sample values f
+    and p and returns their five sums.  Because the leaves follow numpy's
+    split, every sum, and so every field, equals the one over whole-chunk
+    arrays bit for bit.  n_samples and chunks must be integers (Python or
+    numpy, not bool) of at least 1; ValueError otherwise.
     """
     n_samples = _positive_count("n_samples", n_samples)
     chunks = _positive_count("chunks", chunks)
@@ -710,25 +755,27 @@ def mc_averaged(
     ]
     sum_f = sum_p = sum_ff = sum_pp = sum_fp = 0.0
     for seq, size in zip(np.random.SeedSequence(seed).spawn(chunks), sizes):
-        rng = np.random.default_rng(seq)
-        x = rng.uniform(-1.0, 1.0, size)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size)
-        f = np.zeros(size)
-        p = np.zeros(size)
-        # each sample's values depend on its own draws only, so slices whose
-        # monomials and temporaries fit in cache give the same values
-        for start in range(0, size, _SAMPLE_BLOCK):
-            block = slice(start, start + _SAMPLE_BLOCK)
-            monomials = _monomials(x[block], phi[block])
+        x_rng = np.random.Generator(np.random.PCG64(seq))
+        phi_rng = np.random.Generator(np.random.PCG64(seq).advance(size))
+
+        def leaf_sums(count: int) -> np.ndarray:
+            x = x_rng.uniform(-1.0, 1.0, count)
+            phi = phi_rng.uniform(0.0, 2.0 * math.pi, count)
+            monomials = _monomials(x, phi)
+            f = np.zeros(count)
+            p = np.zeros(count)
             for kernels in event_kernels:
                 df, dp = _sample_values(kernels, monomials)
-                f[block] += df
-                p[block] += dp
-        sum_f += f.sum()
-        sum_p += p.sum()
-        sum_ff += (f * f).sum()
-        sum_pp += (p * p).sum()
-        sum_fp += (f * p).sum()
+                f += df
+                p += dp
+            return np.array([f.sum(), p.sum(), (f * f).sum(), (p * p).sum(), (f * p).sum()])
+
+        chunk_f, chunk_p, chunk_ff, chunk_pp, chunk_fp = _tree_sums(size, leaf_sums, _SAMPLE_BLOCK)
+        sum_f += chunk_f
+        sum_p += chunk_p
+        sum_ff += chunk_ff
+        sum_pp += chunk_pp
+        sum_fp += chunk_fp
     mean_f, mean_p = sum_f / n_samples, sum_p / n_samples
     fbar = mean_f / mean_p
     var_p = max(sum_pp / n_samples - mean_p**2, 0.0)
@@ -848,7 +895,9 @@ def critical_eta_bisection(n: int, m: int) -> float:
     return bisect_root(gap, lo, 1.0, tol=TOL.bisection)
 
 
-_ANGLE_BLOCK = 125
+# angles per block of nonadvantageous_bound: a block's (B, 4, 10, 10)
+# complex stacks stay under 1 MiB
+_ANGLE_BLOCK = 32
 
 
 def nonadvantageous_bound(
@@ -859,9 +908,12 @@ def nonadvantageous_bound(
     Sweeps the splitter angle on a grid and Bob's only available correction
     (a phase shift, sampled on {0, pi} plus a uniform grid) with
     number-resolving detectors.  Events with vanishing probability at a
-    grid point contribute nothing there.  n_theta and n_phase must be
-    integers of at least 1 (an empty grid would bound nothing); ValueError
-    otherwise.
+    grid point contribute nothing there.  The angles run in blocks of 32
+    (_ANGLE_BLOCK), and each block builds its splitters uncached, since a
+    grid angle is used once per call: memory is bounded by one block's
+    stacks, not by a cache of per-angle splitters.  n_theta and n_phase
+    must be integers of at least 1 (an empty grid would bound nothing);
+    ValueError otherwise.
     """
     n_theta = _positive_count("n_theta", n_theta)
     n_phase = _positive_count("n_phase", n_phase)
@@ -872,7 +924,6 @@ def nonadvantageous_bound(
     rot = np.exp(-1j * phases)
     thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
     best = {event: 0.0 for event in REJECTED}
-    # angles go through in blocks so that the stacks stay a few MB
     for start in range(0, n_theta, _ANGLE_BLOCK):
         mats = _transported(base, thetas[start : start + _ANGLE_BLOCK])
         for event in REJECTED:

@@ -18,9 +18,10 @@ of a per-pair loop, and then reduces them from their W amplitudes and
 reads them out as one stack, each pair validated and checked against the
 closed form as reduced_pair does; the detector claims reuse a readout
 splitter and count vectors built once per space; the resource claims
-build one W state per N; and the Monte Carlo claim builds its amplitude
-monomials and evaluates its samples in cache-sized slices, so that no
-complex array spans a whole chunk.
+build one W state per N; the Monte Carlo claim draws, evaluates and sums
+its samples in leaves of at most 4,096 along numpy's pairwise-sum tree, so
+that no array spans a chunk; and the rejected-event claim runs its angle
+grid in blocks of 32 with splitters built per block, not cached per angle.
 Every stacked or cached route equals the per-sample one bit for bit.
 
 A caller-supplied tolerance replaces every claim's own default.  That is

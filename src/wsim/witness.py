@@ -101,14 +101,19 @@ def reduced_pair(w, i: int, j: int) -> DensityOperator:
 def _reduce_states(items) -> np.ndarray:
     """reduced_pair of each (WCoefficients, i, j) item, every item with its
     own W state, as a (P, 6, 6) stack.  The densities are zero-padded to
-    the largest N, which appends exact zeros to each vacuum sum."""
+    the largest N, which appends exact zeros to each vacuum sum.
+
+    Each W vector is taken straight from its validated coefficients, in
+    the basis order of w_state_from_coefficients: the vacuum amplitude 0,
+    then the coefficients with the last mode first.  (That PureState
+    would turn a signed zero into +0; the reduction adds every entry onto
+    +0, so no pair can tell.)"""
     dim = max(len(w.alphas) for w, _, _ in items) + 1
-    rho = np.zeros((len(items), dim, dim), dtype=complex)
+    vectors = np.zeros((len(items), dim), dtype=complex)
     first, second, amps, weight = [], [], [], []
     for k, (w, i, j) in enumerate(items):
         n = len(w.alphas)
-        v = w_state_from_coefficients(w).to_vector()
-        rho[k, : n + 1, : n + 1] = np.outer(v, v.conj())
+        vectors[k, n:0:-1] = w.alphas
         i, j = int(i), int(j)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError("pair indices must be distinct and in range")
@@ -116,11 +121,18 @@ def _reduce_states(items) -> np.ndarray:
         p = abs(a_i) ** 2 + abs(a_j) ** 2
         if p <= TOL.support:
             raise ValueError(f"modes ({i}, {j}) carry no photon weight; pair state is vacuum")
-        # the basis lists the vacuum, then the photon in the last mode first
         first.append(n - i)
         second.append(n - j)
         amps.append((a_i, a_j))
         weight.append(p)
+    # PureState's norm check, on every vector at once
+    norm_sq = np.sum(np.abs(vectors) ** 2, axis=1)
+    outside = ~((0.0 < norm_sq) & (norm_sq <= 1.0 + TOL.norm))
+    if outside.any():
+        raise ValueError(f"squared norm {float(norm_sq[outside][0])} outside (0, 1]")
+    if not np.all(np.abs(norm_sq - 1.0) <= TOL.norm):
+        raise ValueError("sub-unit norm requires the post_selected flag")
+    rho = vectors[:, :, None] * vectors.conj()[:, None, :]
     return _reduce_pairs(rho, np.array(first), np.array(second), np.array(amps), np.array(weight))
 
 

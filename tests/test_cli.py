@@ -165,22 +165,32 @@ class TestTeleport:
 
 
 class TestVerify:
-    def test_default_run_passes(self, capsys):
-        code, out, _ = run(capsys, ["verify"])
+    """The battery runs behind these are shared with tests/test_verify.py
+    through the session's ``verification`` fixture, except one fresh run
+    for determinism."""
+
+    @pytest.fixture
+    def shared(self, monkeypatch, verification):
+        monkeypatch.setattr("wsim.cli.run_verification", verification)
+
+    def test_default_run_passes(self, capsys, shared):
+        code, out, _ = run(capsys, ["verify", "--seed", "1"])
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) > 15
         assert all(r["passed"] == "true" for r in rows)
 
-    def test_unreachable_tolerance_fails_honestly(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--tolerance", "1e-15"])
+    def test_unreachable_tolerance_fails_honestly(self, capsys, shared):
+        code, out, _ = run(capsys, ["verify", "--seed", "1", "--tolerance", "1e-15"])
         assert code == 1
         _, rows = parse_csv(out)
         assert any(r["passed"] == "false" for r in rows)
 
-    def test_seeded_reruns_are_identical(self, capsys):
-        _, out1, _ = run(capsys, ["verify", "--seed", "42"])
-        _, out2, _ = run(capsys, ["verify", "--seed", "42"])
+    def test_seeded_reruns_are_identical(self, capsys, monkeypatch, verification):
+        # one fresh battery run against the shared one
+        _, out1, _ = run(capsys, ["verify", "--seed", "1"])
+        monkeypatch.setattr("wsim.cli.run_verification", verification)
+        _, out2, _ = run(capsys, ["verify", "--seed", "1"])
         assert out1 == out2
 
     @pytest.mark.parametrize("value", ["-1e-12", "-1", "nan", "inf", "-inf"])

@@ -241,6 +241,20 @@ class TestPlansEqualLoops:
             fock._embedded_unitary(space, (0, 1), swap), embedded_unitary_loop(space, (0, 1), swap)
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2)),
+        max_photons=st.integers(1, 4),
+    )
+    def test_table_equals_the_block_loop(self, seed, theta, max_photons):
+        # the loop powers, binomials and norms per term; the table
+        # computes them once per call or once per max_photons
+        for u in (bell_splitter(theta), splitter(theta), random_unitary(np.random.default_rng(seed))):
+            table = fock._two_mode_table(u, max_photons)
+            for n, block in enumerate(two_mode_blocks_loop(u, max_photons)):
+                assert_same_bits(table[n, : n + 1, : n + 1], block)
+
     @pytest.mark.parametrize("max_photons", [0, 1, 2, 3, 4])
     def test_packed_table_holds_the_blocks(self, max_photons):
         u = random_unitary(np.random.default_rng(max_photons))
@@ -426,7 +440,7 @@ class TestStackedKernels:
             )
             assert_same_bits(stack[slot], u @ t @ u.conj().T)
 
-    def test_nonadvantageous_bound_equals_per_angle_loop(self):
+    def test_nonadvantageous_bound_equals_per_angle_loop(self, monkeypatch):
         n, m, eta, n_theta, n_phase = 4, 1, 0.7, 301, 16
         base = TeleportParams(n, m, eta, 0.0)
         phases = np.array(
@@ -447,7 +461,10 @@ class TestStackedKernels:
                 )
                 swept = static + np.real(rot * k10[1, 0] + np.conj(rot) * k01[0, 1]) / 6.0
                 best[event] = max(best[event], float(np.max(swept)) / int_p)
-        assert nonadvantageous_bound(n, m, eta, n_theta=n_theta, n_phase=n_phase) == best
+        # one angle per block, the default blocks and the earlier 125-angle ones
+        for block in (1, 32, 125):
+            monkeypatch.setattr(teleport, "_ANGLE_BLOCK", block)
+            assert nonadvantageous_bound(n, m, eta, n_theta=n_theta, n_phase=n_phase) == best
 
     def test_sample_values_equal_per_slot_monomials(self):
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")

@@ -151,6 +151,7 @@ class TestBoundedCaches:
             fock._tensor_plan,
             fock._ptrace_plan,
             fock._unitary_plan,
+            fock._two_mode_table_plan,
             fock._mode_counts,
             teleport._operator_basis_maps,
             teleport._bell_unitary,

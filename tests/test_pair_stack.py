@@ -156,6 +156,11 @@ class TestEqualsPerPairRoute:
         [
             (symmetric(64), [(0, 63), (63, 0), (5, 6)]),
             (WCoefficients((0.0, 0.0, 0.6, 0.8j)), [(2, 3), (3, 2), (0, 3), (3, 1)]),
+            # signed zeros, in a vanishing coefficient and in live ones
+            (
+                WCoefficients((complex(-0.0, -0.0), complex(0.6, -0.0), complex(-0.0, -0.8))),
+                [(1, 2), (2, 1), (0, 2), (1, 0)],
+            ),
         ],
     )
     @pytest.mark.parametrize("eta", [1e-9, 1.0])
@@ -186,6 +191,11 @@ class TestEqualsPerPairRoute:
         for (w, i, j), eta, res in zip(items, etas, got):
             assert res.pair is None
             assert (res.p_ij, res.ratio) == loop_witness(loop_reduced_pair(w, i, j), eta)
+        # the W vectors come straight from the coefficients, not from a
+        # PureState per item, and every pair keeps the oracle's bytes
+        stack = witness._reduce_states(items)
+        for (w, i, j), pair in zip(items, stack):
+            assert pair.tobytes() == loop_reduced_pair(w, i, j).matrix.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 20), eta=efficiencies)

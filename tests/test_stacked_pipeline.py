@@ -1,10 +1,11 @@
 """Stacked runs of the simulated teleport pipeline.
 
 simulate_averaged's quadrature sends all of its nodes through _bob_states
-as one stack, and mc_averaged builds its monomials and evaluates its samples
-in slices.  Each must equal, bit for bit, the per-node and unsliced
-computations they replace, which are kept here as oracles; the stack
-validator must reject a single bad slice exactly as DensityOperator
+as one stack, and mc_averaged draws, evaluates and sums its samples in
+leaves of numpy's pairwise-sum tree, skipping the kernel entries that are
+exactly zero.  Each must equal, bit for bit, the per-node, whole-chunk and
+dense computations they replace, which are kept here as oracles; the
+stack validator must reject a single bad slice exactly as DensityOperator
 rejects that matrix.
 """
 
@@ -146,9 +147,21 @@ def sampled_monomials(rng, size):
     return teleport._monomials(x, phi)
 
 
+def dense_sample_values(kernels, monomials):
+    """_sample_values with every kernel entry, zero or not, in the sum."""
+    bb, cab, ab, aa = monomials
+    f = np.zeros(aa.shape, dtype=complex)
+    p = np.zeros(aa.shape, dtype=complex)
+    for coeff, k in zip(monomials, kernels):
+        inner = aa * k[1, 1] + cab * k[1, 0] + ab * k[0, 1] + bb * k[0, 0]
+        f += coeff * inner
+        p += coeff * np.trace(k)
+    return f.real, p.real
+
+
 def loop_mc(params, n_samples, seed, chunks):
-    """mc_averaged with every chunk's monomials built and its samples
-    evaluated in one piece."""
+    """mc_averaged with every chunk's monomials built, its samples
+    evaluated with the dense kernel and its sums taken in one piece."""
     mats = teleport._transported(params)
     event_kernels = [teleport._condition_kernels(mats, params, e) for e in params.events]
     sizes = [n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)]
@@ -158,7 +171,7 @@ def loop_mc(params, n_samples, seed, chunks):
         f = np.zeros(size)
         p = np.zeros(size)
         for kernels in event_kernels:
-            df, dp = teleport._sample_values(kernels, monomials)
+            df, dp = dense_sample_values(kernels, monomials)
             f += df
             p += dp
         sum_f += f.sum()
@@ -184,6 +197,19 @@ class TestBlockedSamples:
             ]
             assert np.array_equal(np.concatenate([pf for pf, _ in parts]), f)
             assert np.array_equal(np.concatenate([pp for _, pp in parts]), p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=teleport_params(), seed=st.integers(0, 2**32 - 1))
+    def test_sample_values_skip_only_zero_terms(self, params, seed):
+        mats = teleport._transported(params)
+        monomials = sampled_monomials(np.random.default_rng(seed), 500)
+        for event in params.events:
+            kernels = teleport._condition_kernels(mats, params, event)
+            f, p = teleport._sample_values(kernels, monomials)
+            dense_f, dense_p = dense_sample_values(kernels, monomials)
+            # equal as numbers: a skipped term can change only a zero's sign
+            assert np.array_equal(f, dense_f)
+            assert np.array_equal(p, dense_p)
 
     @pytest.mark.parametrize("block", [7, 1000, None])
     def test_mc_averaged(self, monkeypatch, block):
@@ -229,6 +255,64 @@ class TestBlockedSamples:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * n_samples + 4 * 2**20
+
+    @pytest.mark.parametrize("n_samples, chunks", [(400_000, 1), (1_000_000, 8)])
+    def test_mc_averaged_memory_is_bounded_by_a_leaf(self, n_samples, chunks):
+        # no array spans more than a 4,096-sample leaf, whatever the chunk
+        params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
+        mc_averaged(params, n_samples=1, chunks=1)
+        tracemalloc.start()
+        try:
+            mc_averaged(params, n_samples=n_samples, chunks=chunks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestTreeSums:
+    """teleport._tree_sums adds leaf sums along numpy's pairwise-sum tree;
+    if numpy changed how np.sum adds float64, these fail instead of the
+    Monte Carlo digests moving silently."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(
+            st.sampled_from([1, 7, 8, 127, 128, 129, 136, 4096, 4097, 300_000]),
+            st.integers(1, 300_000),
+        ),
+        leaf=st.one_of(st.sampled_from([128, 129, 4096]), st.integers(128, 50_000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_to_np_sum(self, n, leaf, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes over 16 decades, so that any other order of the
+        # additions rounds differently
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        consumed = 0
+
+        def leaf_sums(count):
+            nonlocal consumed
+            part = values[consumed : consumed + count]
+            consumed += count
+            return np.array([part.sum(), (part * part).sum()])
+
+        total, squares = teleport._tree_sums(n, leaf_sums, leaf)
+        assert consumed == n
+        assert total == values.sum()
+        assert squares == (values * values).sum()
+
+    def test_leaves_never_split_below_numpy_block(self):
+        counts = []
+
+        def leaf_sums(count):
+            counts.append(count)
+            return np.zeros(1)
+
+        teleport._tree_sums(100_000, leaf_sums, 7)
+        assert sum(counts) == 100_000
+        assert max(counts) <= teleport._SUM_BLOCK
+        assert min(counts) >= teleport._SUM_BLOCK // 2
 
 
 def valid_stack(rng, size=4, dim=3):

@@ -5,8 +5,8 @@ import pytest
 from wsim import run_verification
 
 
-def test_all_claims_pass_at_default_tolerances():
-    results = run_verification(seed=1)
+def test_all_claims_pass_at_default_tolerances(verification):
+    results = verification(seed=1)
     assert len(results) >= 20
     ids = [r.claim_id for r in results]
     assert len(set(ids)) == len(ids)
@@ -16,8 +16,8 @@ def test_all_claims_pass_at_default_tolerances():
         assert r.description
 
 
-def test_tolerance_override_replaces_defaults():
-    results = run_verification(seed=1, tolerance=1e-15)
+def test_tolerance_override_replaces_defaults(verification):
+    results = verification(seed=1, tolerance=1e-15)
     assert all(r.tolerance == 1e-15 for r in results)
     # a few claims rely on quadrature or stochastic estimates and cannot
     # reach 1e-15; the battery must report that honestly
