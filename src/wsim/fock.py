@@ -417,6 +417,43 @@ def _two_mode_table(u: np.ndarray, max_photons: int) -> np.ndarray:
     return table
 
 
+def _real_two_mode_tables(us, max_photons: int) -> np.ndarray:
+    """_two_mode_table of each matrix in a real (T, 2, 2) float64 stack, as
+    a (T, M+1, M+1, M+1) stack whose slice t is bit for bit the table of
+    us[t] alone.
+
+    The plan, products and sums are those of _two_mode_table, in the same
+    order, computed elementwise over the stack.  For a real u every term
+    is real, and the table's complex scaling coeff * norm / norm_in rounds
+    as (coeff * norm) * (1 / norm_in), numpy's complex division by a real.
+    Powers are taken per entry with Python's ** (libm pow, as numpy's
+    scalar power is); numpy's array square rounds differently.  Anything
+    but a real stack raises ValueError: numpy's vectorized complex
+    multiply does not round like its scalar product, so complex unitaries
+    stay on _two_mode_table.
+    """
+    us = np.asarray(us)
+    if us.dtype != np.float64 or us.ndim != 3 or us.shape[1:] != (2, 2):
+        raise ValueError("expected a real float64 (T, 2, 2) stack of mode-mixing matrices")
+    size = max_photons + 1
+    u00, u01, u10, u11 = (
+        [np.array([x**j for x in us[:, a, b].tolist()]) for j in range(size)]
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    tables = np.zeros((len(us), size, size, size), dtype=complex)
+    for n, k, first, second, norm_in, norms_out in _two_mode_table_plan(max_photons):
+        poly = [0.0] * (n + 1)  # poly[p]: coeff of x^p y^(n-p), one entry per matrix
+        c2s = [(q, c * u01[q] * u11[n - k - q]) for q, c in second]
+        for p, c in first:
+            c1 = c * u00[p] * u10[k - p]
+            for q, c2 in c2s:
+                poly[p + q] = poly[p + q] + c1 * c2
+        scale = 1.0 / norm_in
+        for p, (coeff, norm) in enumerate(zip(poly, norms_out)):
+            tables.real[:, n, p, k] = coeff * norm * scale
+    return tables
+
+
 @lru_cache(maxsize=256)
 def _unitary_plan(space: FockSpace, modes: tuple[int, int]):
     """Where each table entry [n, p, k] of a unitary on ``modes`` lands:
@@ -449,11 +486,23 @@ def _unitary_entries(
     that stay inside the space.  An entry leaving it, times ``carried`` at
     its column, raises if not negligible: ones for a matrix, the amplitudes
     for a vector, so a pure state overflows only by what it carries."""
+    return _table_entries(space, modes, _two_mode_table(u, _table_photons(space)), carried)
+
+
+def _table_photons(space: FockSpace) -> int:
+    """The largest photon number two modes of the space can hold."""
+    return min(space.total_cutoff, 2 * space.mode_cutoff)
+
+
+def _table_entries(
+    space: FockSpace, modes: tuple[int, int], table: np.ndarray, carried: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_unitary_entries from a built table; leading axes of ``table`` are a
+    stack, and its values come out with the same leading axes."""
     (rows, cols, n, p, k), (m_cols, mn, mp, mk) = _unitary_plan(space, modes)
-    table = _two_mode_table(u, min(space.total_cutoff, 2 * space.mode_cutoff))
-    if np.any(np.abs(table[mn, mp, mk] * carried[m_cols]) > TOL.support):
+    if np.any(np.abs(table[..., mn, mp, mk] * carried[m_cols]) > TOL.support):
         raise ValueError("per-mode cutoff overflow in two-mode unitary")
-    return rows, cols, table[n, p, k]
+    return rows, cols, table[..., n, p, k]
 
 
 def _embedded_unitary(space: FockSpace, modes: tuple[int, int], u: np.ndarray) -> np.ndarray:
@@ -461,6 +510,17 @@ def _embedded_unitary(space: FockSpace, modes: tuple[int, int], u: np.ndarray) -
     rows, cols, values = _unitary_entries(space, tuple(modes), u, np.ones(space.dim))
     out = np.zeros((space.dim, space.dim), dtype=complex)
     out[rows, cols] = values
+    return out
+
+
+def _embedded_real_unitaries(space: FockSpace, modes: tuple[int, int], us) -> np.ndarray:
+    """_embedded_unitary of each matrix in a real (T, 2, 2) float64 stack,
+    as a (T, dim, dim) stack built from _real_two_mode_tables; slice t is
+    bit for bit _embedded_unitary(space, modes, us[t])."""
+    tables = _real_two_mode_tables(us, _table_photons(space))
+    rows, cols, values = _table_entries(space, tuple(modes), tables, np.ones(space.dim))
+    out = np.zeros((len(tables), space.dim, space.dim), dtype=complex)
+    out[:, rows, cols] = values
     return out
 
 

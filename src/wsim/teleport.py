@@ -45,6 +45,7 @@ from .fock import (
     _check_density_stack,
     _check_two_mode_unitary,
     _condition_raw,
+    _embedded_real_unitaries,
     _embedded_unitary,
     _pad_raw,
     _phase_raw,
@@ -317,19 +318,31 @@ def averaged_fidelity_curve(params: TeleportParams, thetas) -> np.ndarray:
     return _curve_on_terms(params, _grid_terms(thetas))
 
 
+# angles per block of _grid_terms: a block's Python floats stay small
+_TERM_BLOCK = 1024
+
+
 def _grid_terms(thetas) -> np.ndarray:
     """The grid step of averaged_fidelity_curve: ``thetas`` checked as a
     1-D sequence of angles in [0, pi/2], and its _angle_terms as a (4,
     len(thetas)) float64 array.  Parameter-free, so one grid serves every
-    (N, m, eta) evaluated on it."""
+    (N, m, eta) evaluated on it.
+
+    The array is filled in blocks of _TERM_BLOCK angles, so the Python
+    floats of the per-angle checks and terms never span the whole grid.
+    The terms are elementwise, so the blocks change no value, and angles
+    are checked in grid order, so the first bad one still raises."""
     grid = np.asarray(thetas, dtype=float)
     if grid.ndim != 1:
         raise ValueError("splitter angles must form a 1-D sequence")
-    grid = grid.tolist()
-    for theta in grid:
-        if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-            raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
-    return np.array(_angle_terms(grid), dtype=float)
+    terms = np.empty((4, len(grid)))
+    for start in range(0, len(grid), _TERM_BLOCK):
+        block = grid[start : start + _TERM_BLOCK].tolist()
+        for theta in block:
+            if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+                raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
+        terms[:, start : start + len(block)] = _angle_terms(block)
+    return terms
 
 
 def _curve_on_terms(params: TeleportParams, terms: np.ndarray) -> np.ndarray:
@@ -539,8 +552,10 @@ def _transported(params: TeleportParams, thetas=None) -> np.ndarray:
     """The four operator-basis inputs pushed through tensor + splitter, as a
     (4, 10, 10) stack at params.theta, or (len(thetas), 4, 10, 10) with one
     leading entry per splitter angle in ``thetas``.  The splitter at
-    params.theta comes from _bell_unitary's cache; a grid's splitters are
-    built uncached, since a grid angle is used once."""
+    params.theta comes from _bell_unitary's cache.  A grid's splitters are
+    built uncached, since a grid angle is used once, and as one stack by
+    _embedded_real_unitaries: each equals _embedded_unitary at its angle
+    bit for bit."""
     resource = conditional_resource(params).matrix
     slot, rows, cols, r_rows, r_cols = _operator_basis_maps()
     dim = _JOINT_SPACE.dim
@@ -549,12 +564,8 @@ def _transported(params: TeleportParams, thetas=None) -> np.ndarray:
     if thetas is None:
         u = _bell_unitary(params.theta)
     else:
-        u = np.stack(
-            [
-                _embedded_unitary(_JOINT_SPACE, (0, 1), bell_splitter(float(theta)))
-                for theta in thetas
-            ]
-        )[:, None]
+        splitters = np.stack([bell_splitter(float(theta)) for theta in thetas])
+        u = _embedded_real_unitaries(_JOINT_SPACE, (0, 1), splitters)[:, None]
     return u @ t @ u.conj().swapaxes(-1, -2)
 
 
@@ -582,15 +593,45 @@ def _event_integrals(kernels: np.ndarray) -> tuple[float, float]:
     return float(int_f.real), float(int_p.real)
 
 
-def _monomials(x: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+class _LeafWork:
+    """The arrays that the Monte Carlo's per-sample arithmetic writes into
+    with ``out=`` ufuncs: float rows root, bb, aa, f, p, square and complex
+    rows a, term, cab, ab, inner, fc, pc, each ``size`` long.  mc_averaged
+    allocates one per call and every leaf reuses it; each array is at most
+    64 KiB, below glibc's mmap threshold."""
+
+    def __init__(self, size: int) -> None:
+        self.root, self.bb, self.aa, self.f, self.p, self.square = (
+            np.empty(size) for _ in range(6)
+        )
+        self.a, self.term, self.cab, self.ab, self.inner, self.fc, self.pc = (
+            np.empty(size, dtype=complex) for _ in range(7)
+        )
+
+
+def _monomials(x: np.ndarray, phi: np.ndarray, work: _LeafWork) -> tuple:
     """Coefficient of each operator-basis slot for the qubits a|1> + b|0>
     with |a|^2 = (1 + x)/2 and relative phase phi: b b, conj(a) b, a b,
     |a|^2.  Uniform x in [-1, 1] and phi in [0, 2 pi) are uniform on the
     Bloch sphere.  Elementwise, so a slice of (x, phi) gives the same
-    slice of every monomial."""
-    a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
-    b = np.sqrt((1.0 - x) / 2.0)
-    return b * b, np.conj(a) * b, a * b, np.abs(a) ** 2
+    slice of every monomial.
+
+    The monomials are views into ``work``, computed with the ufuncs and
+    operand order of
+    a = sqrt((1 + x)/2) exp(-i phi), b = sqrt((1 - x)/2),
+    b*b, conj(a)*b, a*b, abs(a)**2, so they round alike."""
+    n = len(x)
+    root, e, a = work.root[:n], work.term[:n], work.a[:n]
+    bb, cab, ab, aa = work.bb[:n], work.cab[:n], work.ab[:n], work.aa[:n]
+    np.sqrt(np.divide(np.add(1.0, x, out=root), 2.0, out=root), out=root)
+    np.exp(np.multiply(-1j, phi, out=e), out=e)
+    np.multiply(root, e, out=a)
+    b = np.sqrt(np.divide(np.subtract(1.0, x, out=root), 2.0, out=root), out=root)
+    np.multiply(b, b, out=bb)
+    np.multiply(np.conjugate(a, out=cab), b, out=cab)
+    np.multiply(a, b, out=ab)
+    np.square(np.absolute(a, out=aa), out=aa)
+    return bb, cab, ab, aa
 
 
 # samples per leaf of mc_averaged's walk: a leaf's complex arrays (64 KiB
@@ -601,27 +642,36 @@ _SAMPLE_BLOCK = 4096
 _SUM_BLOCK = 128
 
 
-def _sample_values(kernels: np.ndarray, monomials: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _sample_values(
+    kernels: np.ndarray, monomials: tuple, work: _LeafWork
+) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized fidelity and probability of sampled qubits, given their
-    amplitude monomials from _monomials.
+    amplitude monomials from _monomials, as views into ``work``.
 
     Photon-number conservation leaves 5 of an event's 36 kernel entries
     nonzero.  A term whose kernel entry is exactly zero would only add a
     signed zero, so it is skipped; the other terms add in the order of
     the dense sum aa k11 + cab k10 + ab k01 + bb k00."""
     bb, cab, ab, aa = monomials
-    f = np.zeros(aa.shape, dtype=complex)
-    p = np.zeros(aa.shape, dtype=complex)
+    n = len(aa)
+    f, p, inner, term = work.fc[:n], work.pc[:n], work.inner[:n], work.term[:n]
+    f.fill(0.0)
+    p.fill(0.0)
     for coeff, k in zip(monomials, kernels):
-        inner = None
+        started = False
         for monomial, entry in ((aa, k[1, 1]), (cab, k[1, 0]), (ab, k[0, 1]), (bb, k[0, 0])):
-            if entry != 0:
-                inner = monomial * entry if inner is None else inner + monomial * entry
-        if inner is not None:
-            f += coeff * inner
+            if entry == 0:
+                continue
+            if started:
+                np.add(inner, np.multiply(monomial, entry, out=term), out=inner)
+            else:
+                np.multiply(monomial, entry, out=inner)
+                started = True
+        if started:
+            np.add(f, np.multiply(coeff, inner, out=term), out=f)
         trace = np.trace(k)
         if trace != 0:
-            p += coeff * trace
+            np.add(p, np.multiply(coeff, trace, out=term), out=p)
     return f.real, p.real
 
 
@@ -737,14 +787,24 @@ def mc_averaged(
 
     No array spans a chunk.  Each chunk walks numpy's pairwise-sum tree
     (_tree_sums) down to leaves of at most _SAMPLE_BLOCK = 4,096 samples,
-    small enough that every complex temporary stays below glibc's mmap
-    threshold.  A leaf draws its x from the chunk's generator and its phi
-    from a second generator on the same seed, advanced past the chunk's
-    x (one 64-bit word per double); it evaluates its per-sample values f
-    and p and returns their five sums.  Because the leaves follow numpy's
-    split, every sum, and so every field, equals the one over whole-chunk
-    arrays bit for bit.  n_samples and chunks must be integers (Python or
-    numpy, not bool) of at least 1; ValueError otherwise.
+    small enough that every array stays below glibc's mmap threshold.  A
+    leaf draws its x from the chunk's generator and its phi from a second
+    generator on the same seed, advanced past the chunk's x (one 64-bit
+    word per double); it evaluates its per-sample values f and p and
+    returns their five sums.  Because the leaves follow numpy's split,
+    every sum, and so every field, equals the one over whole-chunk arrays
+    bit for bit.
+
+    Every leaf computes in one _LeafWork, allocated once per call, with
+    ``out=`` ufuncs in the operation order of the plain expressions, so
+    the values keep their bits.  The workspace is not an option: a leaf
+    that allocated its own temporaries would free about 0.6 MiB at the
+    top of the heap, and whenever glibc's trim threshold is at its
+    128 KiB default, free returns that memory to the system and the next
+    leaf faults it in again (tens of thousands of minor page faults and
+    twice the CPU time per million samples).  n_samples and chunks must
+    be integers (Python or numpy, not bool) of at least 1; ValueError
+    otherwise.
     """
     n_samples = _positive_count("n_samples", n_samples)
     chunks = _positive_count("chunks", chunks)
@@ -753,6 +813,7 @@ def mc_averaged(
     sizes = [
         n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)
     ]
+    work = _LeafWork(min(max(_SAMPLE_BLOCK, _SUM_BLOCK), sizes[0]))
     sum_f = sum_p = sum_ff = sum_pp = sum_fp = 0.0
     for seq, size in zip(np.random.SeedSequence(seed).spawn(chunks), sizes):
         x_rng = np.random.Generator(np.random.PCG64(seq))
@@ -761,14 +822,23 @@ def mc_averaged(
         def leaf_sums(count: int) -> np.ndarray:
             x = x_rng.uniform(-1.0, 1.0, count)
             phi = phi_rng.uniform(0.0, 2.0 * math.pi, count)
-            monomials = _monomials(x, phi)
-            f = np.zeros(count)
-            p = np.zeros(count)
+            monomials = _monomials(x, phi, work)
+            f, p, square = work.f[:count], work.p[:count], work.square[:count]
+            f.fill(0.0)
+            p.fill(0.0)
             for kernels in event_kernels:
-                df, dp = _sample_values(kernels, monomials)
-                f += df
-                p += dp
-            return np.array([f.sum(), p.sum(), (f * f).sum(), (p * p).sum(), (f * p).sum()])
+                df, dp = _sample_values(kernels, monomials, work)
+                np.add(f, df, out=f)
+                np.add(p, dp, out=p)
+            return np.array(
+                [
+                    f.sum(),
+                    p.sum(),
+                    np.multiply(f, f, out=square).sum(),
+                    np.multiply(p, p, out=square).sum(),
+                    np.multiply(f, p, out=square).sum(),
+                ]
+            )
 
         chunk_f, chunk_p, chunk_ff, chunk_pp, chunk_fp = _tree_sums(size, leaf_sums, _SAMPLE_BLOCK)
         sum_f += chunk_f
@@ -910,10 +980,11 @@ def nonadvantageous_bound(
     number-resolving detectors.  Events with vanishing probability at a
     grid point contribute nothing there.  The angles run in blocks of 32
     (_ANGLE_BLOCK), and each block builds its splitters uncached, since a
-    grid angle is used once per call: memory is bounded by one block's
-    stacks, not by a cache of per-angle splitters.  n_theta and n_phase
-    must be integers of at least 1 (an empty grid would bound nothing);
-    ValueError otherwise.
+    grid angle is used once per call, and as one stack
+    (_embedded_real_unitaries, bit for bit the per-angle splitters):
+    memory is bounded by one block's stacks, not by a cache of per-angle
+    splitters.  n_theta and n_phase must be integers of at least 1 (an
+    empty grid would bound nothing); ValueError otherwise.
     """
     n_theta = _positive_count("n_theta", n_theta)
     n_phase = _positive_count("n_phase", n_phase)

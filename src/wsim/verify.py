@@ -13,16 +13,19 @@ computes its angle terms once for all 24 (N, m, eta).  The sampled
 cross-checks pay their fixed costs once per stack, not once per sample:
 the quadrature claim sends all of a tuple's nodes through Bob's pipeline
 as one stack, each node validated as bob_state validates its result; the
-witness claim draws its 1,000 random pairs first, with the generator calls
-of a per-pair loop, and then reduces them from their W amplitudes and
-reads them out as one stack, each pair validated and checked against the
-closed form as reduced_pair does; the detector claims reuse a readout
-splitter and count vectors built once per space; the resource claims
-build one W state per N; the Monte Carlo claim draws, evaluates and sums
-its samples in leaves of at most 4,096 along numpy's pairwise-sum tree, so
-that no array spans a chunk; and the rejected-event claim runs its angle
-grid in blocks of 32 with splitters built per block, not cached per angle.
-Every stacked or cached route equals the per-sample one bit for bit.
+witness claim draws its 1,000 random pairs in slices of 128, with the
+generator calls of a per-pair loop, and reduces each slice from its W
+amplitudes and reads it out as one stack, each pair validated and checked
+against the closed form as reduced_pair does, before the next slice is
+drawn; the detector claims reuse a readout splitter and count vectors
+built once per space; the resource claims build one W state per N; the
+Monte Carlo claim draws, evaluates and sums its samples in leaves of at
+most 4,096 along numpy's pairwise-sum tree, all in one leaf-sized
+workspace, so that no array spans a chunk; and the rejected-event claim
+runs its angle grid in blocks of 32 with each block's splitters built as
+one stack, not cached per angle.  No claim holds an object that spans
+all of its items at once, and every stacked or cached route equals the
+per-sample one bit for bit.
 
 A caller-supplied tolerance replaces every claim's own default.  That is
 deliberately blunt: at extreme settings such as 1e-15 the genuinely tight
@@ -105,6 +108,37 @@ def _random_qubit(rng: np.random.Generator) -> UnknownQubit:
     return UnknownQubit(
         math.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi), math.sqrt((1.0 - x) / 2.0)
     )
+
+
+# witness items drawn, reduced and read out together by _witness_claim
+_WITNESS_SLICE = 128
+
+
+def _witness_claim(rng: np.random.Generator, count: int) -> tuple[float, float]:
+    """(largest |simulated - closed-form| ratio, largest ratio of either
+    route) over ``count`` random witness items.
+
+    Items are drawn with the generator calls of a per-item loop, in
+    slices of _WITNESS_SLICE; each slice is reduced and read out as one
+    stack by _witness_states, and its items and results are dropped
+    before the next slice is drawn."""
+    res = 0.0
+    worst_ratio = -math.inf
+    for start in range(0, count, _WITNESS_SLICE):
+        items, dets = [], []
+        for _ in range(min(_WITNESS_SLICE, count - start)):
+            n = int(rng.integers(2, 7))
+            coeffs = _random_coefficients(rng, n)
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            items.append((coeffs, int(i), int(j)))
+            dets.append(DetectorModel(float(rng.uniform(0.05, 1.0))))
+        sims = _witness_states(items, [det.eta for det in dets])
+        for (coeffs, i, j), det, sim in zip(items, dets, sims):
+            closed = witness_ratio_closed_form(coeffs.alphas[i], coeffs.alphas[j], det)
+            res = max(res, abs(sim.ratio - closed))
+            worst_ratio = max(worst_ratio, sim.ratio, closed)
+        del items, dets, sims
+    return res, worst_ratio
 
 
 def _refine_max(f, x: float, h: float) -> float:
@@ -196,20 +230,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
 
     # -- pairwise witness ------------------------------------------------
 
-    items, dets = [], []
-    for _ in range(1000):
-        n = int(rng.integers(2, 7))
-        coeffs = _random_coefficients(rng, n)
-        i, j = sorted(rng.choice(n, size=2, replace=False))
-        items.append((coeffs, int(i), int(j)))
-        dets.append(DetectorModel(float(rng.uniform(0.05, 1.0))))
-    sims = _witness_states(items, [det.eta for det in dets])
-    res = 0.0
-    worst_ratio = -math.inf
-    for (coeffs, i, j), det, sim in zip(items, dets, sims):
-        closed = witness_ratio_closed_form(coeffs.alphas[i], coeffs.alphas[j], det)
-        res = max(res, abs(sim.ratio - closed))
-        worst_ratio = max(worst_ratio, sim.ratio, closed)
+    res, worst_ratio = _witness_claim(rng, 1000)
     check(
         "witness-closed-vs-simulated",
         "simulated witness ratio matches the closed form on 1000 random pairs",

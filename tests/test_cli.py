@@ -5,6 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -307,7 +311,8 @@ class TestJobsCap:
 
     @pytest.fixture
     def pool(self, monkeypatch):
-        monkeypatch.setattr("wsim.cli.ProcessPoolExecutor", _RecordingPool)
+        # _run_tasks imports the pool only when it starts workers
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         return _RecordingPool
 
@@ -330,3 +335,42 @@ class TestJobsCap:
         code, _, _ = run(capsys, self.ARGV)
         assert code == 0
         assert pool.sizes == []
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a fresh interpreter: this test process may have loaded the pool already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, wsim.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_commands_load_no_module_while_running():
+    # every module witness-scan and teleport need is loaded by the import, so
+    # a one-time module load never lands inside a command's run
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import contextlib, io, sys, wsim.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    wsim.cli.main(['witness-scan', '--coeffs=0.6,0.8j', '--eta', '0.9', '--jobs', '1'])\n"
+        "    wsim.cli.main(['teleport', '--N', '4', '--m', '0', '--eta', '0.9',\n"
+        "                   '--theta', '0.5', '--jobs', '1'])\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -154,3 +154,22 @@ class TestClosedFormMatchesSimulation:
         f_sim, p_sim = simulate_averaged(params, method="moments")
         assert abs(report.avg_fidelity - f_sim) <= TOL.protocol_match
         assert abs(report.avg_probability - p_sim) <= TOL.protocol_match
+
+
+class TestGridTermBlocks:
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 10_001])
+    def test_blocks_equal_one_pass(self, size):
+        # _grid_terms fills its array in blocks of _TERM_BLOCK angles
+        rng = np.random.default_rng(size)
+        for grid in (np.linspace(0.0, HALF_PI, size), rng.uniform(0.0, HALF_PI, size)):
+            got = teleport._grid_terms(grid)
+            expected = np.array(teleport._angle_terms(grid.tolist()), dtype=float)
+            assert got.shape == expected.shape == (4, size)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_first_bad_angle_raises_across_blocks(self):
+        grid = np.linspace(0.0, HALF_PI, 3000)
+        grid[2500] = -1.0
+        grid[1500] = math.nan
+        with pytest.raises(ValueError, match="splitter angle nan outside"):
+            teleport._grid_terms(grid)

@@ -440,6 +440,54 @@ class TestStackedKernels:
             )
             assert_same_bits(stack[slot], u @ t @ u.conj().T)
 
+    @pytest.mark.parametrize("size", [1, 32, 1000])
+    def test_stacked_splitters_equal_per_angle(self, size):
+        # the rejected-event grid's splitters, built as one stack, against
+        # _embedded_unitary at each angle
+        rng = np.random.default_rng(size)
+        edges = [0.0, math.pi / 4, math.pi / 2, math.pi / 2 + 1e-12]
+        if size == 1:
+            grids = [[theta] for theta in edges + [float(rng.uniform(0.0, math.pi / 2))]]
+        else:
+            mixed = edges + rng.uniform(0.0, math.pi / 2, size - len(edges)).tolist()
+            grids = [np.linspace(0.0, math.pi / 2, size).tolist(), rng.permutation(mixed).tolist()]
+        space = teleport._JOINT_SPACE
+        for grid in grids:
+            stack = fock._embedded_real_unitaries(
+                space, (0, 1), np.stack([bell_splitter(theta) for theta in grid])
+            )
+            expected = np.stack(
+                [fock._embedded_unitary(space, (0, 1), bell_splitter(theta)) for theta in grid]
+            )
+            assert_same_bits(stack, expected)
+
+    @pytest.mark.parametrize("max_photons", [0, 1, 2, 3, 4])
+    def test_stacked_tables_equal_single_tables(self, max_photons):
+        rng = np.random.default_rng(max_photons)
+        us = np.concatenate(
+            [
+                np.stack([bell_splitter(0.0), splitter(math.pi / 2), splitter(0.3)]),
+                rng.normal(size=(200, 2, 2)),
+            ]
+        )
+        tables = fock._real_two_mode_tables(us, max_photons)
+        assert_same_bits(tables, np.stack([fock._two_mode_table(u, max_photons) for u in us]))
+
+    def test_stacked_tables_take_real_stacks_only(self):
+        rng = np.random.default_rng(0)
+        for bad in (
+            np.stack([random_unitary(rng)]),
+            np.stack([bell_splitter(0.3)]).astype(complex),
+            bell_splitter(0.3),
+            np.zeros((2, 3, 3)),
+        ):
+            with pytest.raises(ValueError, match="real float64"):
+                fock._real_two_mode_tables(bad, 2)
+        with pytest.raises(ValueError, match="real float64"):
+            fock._embedded_real_unitaries(
+                FockSpace(3), (0, 1), np.stack([random_unitary(rng)])
+            )
+
     def test_nonadvantageous_bound_equals_per_angle_loop(self, monkeypatch):
         n, m, eta, n_theta, n_phase = 4, 1, 0.7, 301, 16
         base = TeleportParams(n, m, eta, 0.0)
@@ -474,7 +522,8 @@ class TestStackedKernels:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1.0, 1.0, 1000)
         phi = rng.uniform(0.0, 2.0 * math.pi, 1000)
-        monomials = teleport._monomials(x, phi)
+        work = teleport._LeafWork(1000)
+        monomials = teleport._monomials(x, phi, work)
         a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
         b = np.sqrt((1.0 - x) / 2.0)
         f = np.zeros(a.shape, dtype=complex)
@@ -489,7 +538,7 @@ class TestStackedKernels:
             )
             f += coeff * inner
             p += coeff * np.trace(k)
-        got_f, got_p = teleport._sample_values(kernels, monomials)
+        got_f, got_p = teleport._sample_values(kernels, monomials, work)
         assert_same_bits(got_f, f.real)
         assert_same_bits(got_p, p.real)
 

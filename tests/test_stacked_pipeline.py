@@ -139,12 +139,24 @@ class TestStackEqualsLoop:
             tensor(DensityOperator(space, two), conditional_resource(params))
 
 
+def plain_monomials(x, phi):
+    """_monomials written out, every array freshly allocated."""
+    a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
+    b = np.sqrt((1.0 - x) / 2.0)
+    return b * b, np.conj(a) * b, a * b, np.abs(a) ** 2
+
+
 def sampled_monomials(rng, size):
     """Draw ``size`` qubits uniformly on the Bloch sphere, all of x and then
     all of phi, and return their monomials for the whole draw at once."""
     x = rng.uniform(-1.0, 1.0, size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size)
-    return teleport._monomials(x, phi)
+    return plain_monomials(x, phi)
+
+
+def fresh_sample_values(kernels, monomials):
+    """_sample_values in a workspace of its own, so results can be kept."""
+    return teleport._sample_values(kernels, monomials, teleport._LeafWork(len(monomials[0])))
 
 
 def dense_sample_values(kernels, monomials):
@@ -189,10 +201,10 @@ class TestBlockedSamples:
         mats = teleport._transported(params)
         kernels = teleport._condition_kernels(mats, params, BellEvent.D01)
         monomials = sampled_monomials(np.random.default_rng(size), size)
-        f, p = teleport._sample_values(kernels, monomials)
+        f, p = fresh_sample_values(kernels, monomials)
         for block in (7, 1000, teleport._SAMPLE_BLOCK):
             parts = [
-                teleport._sample_values(kernels, tuple(x[s : s + block] for x in monomials))
+                fresh_sample_values(kernels, tuple(x[s : s + block] for x in monomials))
                 for s in range(0, size, block)
             ]
             assert np.array_equal(np.concatenate([pf for pf, _ in parts]), f)
@@ -205,11 +217,35 @@ class TestBlockedSamples:
         monomials = sampled_monomials(np.random.default_rng(seed), 500)
         for event in params.events:
             kernels = teleport._condition_kernels(mats, params, event)
-            f, p = teleport._sample_values(kernels, monomials)
+            f, p = fresh_sample_values(kernels, monomials)
             dense_f, dense_p = dense_sample_values(kernels, monomials)
             # equal as numbers: a skipped term can change only a zero's sign
             assert np.array_equal(f, dense_f)
             assert np.array_equal(p, dense_p)
+
+    def test_leaf_workspace_is_written_in_place(self):
+        # mc_averaged's leaves reuse one workspace; each leaf's monomials and
+        # values are views into it, bit for bit the freshly allocated ones
+        params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
+        mats = teleport._transported(params)
+        event_kernels = [teleport._condition_kernels(mats, params, e) for e in params.events]
+        work = teleport._LeafWork(4096)
+        rng = np.random.default_rng(11)
+        for count in (4096, 1, 2500, 128):
+            x = rng.uniform(-1.0, 1.0, count)
+            phi = rng.uniform(0.0, 2.0 * math.pi, count)
+            monomials = teleport._monomials(x, phi, work)
+            for got, expected in zip(monomials, plain_monomials(x, phi)):
+                assert got.tobytes() == expected.tobytes()
+            assert all(
+                np.shares_memory(m, getattr(work, name))
+                for m, name in zip(monomials, ("bb", "cab", "ab", "aa"))
+            )
+            for kernels in event_kernels:
+                f, p = teleport._sample_values(kernels, monomials, work)
+                assert np.shares_memory(f, work.fc) and np.shares_memory(p, work.pc)
+                fresh_f, fresh_p = fresh_sample_values(kernels, plain_monomials(x, phi))
+                assert f.tobytes() == fresh_f.tobytes() and p.tobytes() == fresh_p.tobytes()
 
     @pytest.mark.parametrize("block", [7, 1000, None])
     def test_mc_averaged(self, monkeypatch, block):
