@@ -11,9 +11,10 @@ change keeps the CLI tables byte-identical on this machine's numpy and BLAS.
 
 The commands are the three benchmark workloads (benchmarks/run.py) at seeds
 1-3, ten README examples and sweeps, four lines that run the preparation
-chain with phases, a zero splitter angle and larger N, and two witness
-scans: one over the 2,016 pairs of a 64-mode state, and one with a vacuum
-pair (its note row) and pairs whose coefficient product is zero.
+chain with phases, a zero splitter angle and larger N, two witness scans
+(one over the 2,016 pairs of a 64-mode state, and one with a vacuum pair,
+its note row, and pairs whose coefficient product is zero), and heralded
+resources at N = 1,024 for four cooperation counts.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXAMPLES = [
     "teleport --N 64,128 --m 0,32 --eta 0.9 --theta 0.7",
     "witness-scan --symmetric 64 --eta 0.8",
     "witness-scan --coeffs 0,0,0.6,0.8j --eta 0.5",
+    "teleport --N 1024 --m 0,1,512,1022 --eta 0.9,0.3 --theta 0.7",
 ]
 
 

@@ -27,11 +27,11 @@ from .fock import (
     DensityOperator,
     FockSpace,
     _check_two_mode_unitary,
-    _condition_raw,
     _embedded_unitary,
     _frozen,
     _mode_counts,
     _phase_raw,
+    _ptrace_raw,
     _tensor_raw,
     _unitary_raw,
     vacuum_state,
@@ -122,9 +122,13 @@ def _condition_outcomes_raw(
     space: FockSpace, matrix: np.ndarray, assignments: Mapping[int, PovmElement]
 ) -> tuple[FockSpace, np.ndarray]:
     """condition on a raw matrix: the reduced space and matrix, unvalidated."""
-    weights = _povm_weights(space, assignments)
+    sq = np.sqrt(_povm_weights(space, assignments))
+    weighted = sq[:, None] * matrix * sq[None, :]
     keep = tuple(m for m in range(space.num_modes) if m not in assignments)
-    return _condition_raw(space, matrix, weights, keep)
+    if keep:
+        return _ptrace_raw(space, weighted, keep)
+    out_space = FockSpace(0, space.total_cutoff, space.mode_cutoff)
+    return out_space, np.trace(weighted, axis1=-2, axis2=-1)[..., None, None]
 
 
 def _povm_weights(space: FockSpace, assignments: Mapping[int, PovmElement]) -> np.ndarray:

@@ -59,9 +59,9 @@ class FockSpace:
     occupation (``mode_cutoff``, defaulting to the total cutoff).  The
     default cutoff of 2 holds every state where the sender's qubit meets
     the network: one photon from the W state plus at most one more.  W
-    states and the heralded pair carry exactly one photon, so they live in
-    ``FockSpace(n, 1)`` of dimension n + 1 and are zero-padded into the
-    two-photon space only where the qubit joins.
+    states carry exactly one photon, so they live in ``FockSpace(n, 1)``
+    of dimension n + 1; the pairs reduced from them are built directly in
+    the two-photon space ``FockSpace(2)``, where the qubit joins.
 
     ``num_modes = 0`` is the degenerate space left after measuring every
     mode; its only basis element is the empty tuple.  Equal spaces share
@@ -358,15 +358,6 @@ def _ptrace_raw(
     return out_space, out
 
 
-def _pad_raw(space: FockSpace, matrix: np.ndarray, target: FockSpace) -> np.ndarray:
-    """Embed an operator into a space over the same modes with larger
-    cutoffs; the entries of the added occupations are zero."""
-    rows = [target.index[occ] for occ in space.basis]
-    out = np.zeros((target.dim, target.dim), dtype=complex)
-    out[np.ix_(rows, rows)] = matrix
-    return out
-
-
 def _check_two_mode_unitary(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -550,17 +541,6 @@ def _mode_counts(space: FockSpace, mode: int) -> np.ndarray:
 def _phase_raw(space: FockSpace, matrix: np.ndarray, mode: int, phi: float) -> np.ndarray:
     d = np.exp(-1j * phi * _mode_counts(space, mode))
     return d[:, None] * matrix * d.conj()[None, :]
-
-
-def _condition_raw(
-    space: FockSpace, matrix: np.ndarray, weights: np.ndarray, keep: tuple[int, ...]
-) -> tuple[FockSpace, np.ndarray]:
-    sq = np.sqrt(weights)
-    weighted = sq[:, None] * matrix * sq[None, :]
-    if keep:
-        return _ptrace_raw(space, weighted, keep)
-    out_space = FockSpace(0, space.total_cutoff, space.mode_cutoff)
-    return out_space, np.trace(weighted, axis1=-2, axis2=-1)[..., None, None]
 
 
 # ---------------------------------------------------------------------------

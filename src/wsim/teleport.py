@@ -44,10 +44,9 @@ from .fock import (
     PureState,
     _check_density_stack,
     _check_two_mode_unitary,
-    _condition_raw,
     _embedded_real_unitaries,
     _embedded_unitary,
-    _pad_raw,
+    _frozen,
     _phase_raw,
     _ptrace_raw,
     _tensor_checked,
@@ -115,6 +114,17 @@ _EVENT_SETS = {
 }
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, bools,
+    floats, strings and everything else raise ValueError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TeleportParams:
     """Network size, cooperation count, detector efficiency, splitter angle."""
@@ -127,7 +137,7 @@ class TeleportParams:
     event_set: str = "D10"
 
     def __post_init__(self) -> None:
-        n, m = int(self.N), int(self.m)
+        n, m = _integer("N", self.N), _integer("m", self.m)
         if n < 2:
             raise ValueError("the network needs at least two parties")
         if not 0 <= m <= n - 2:
@@ -391,26 +401,33 @@ _JOINT_SPACE = FockSpace(3)
 
 
 @lru_cache(maxsize=32)
-def _symmetric_w_density(n: int) -> DensityOperator:
-    """The symmetric N-mode W state as a density, built once per N and
-    shared by the resources of every (m, eta)."""
-    return generate_w(symmetric_angles(n)).to_density()
+def _w_vector(n: int) -> np.ndarray:
+    """Amplitude vector of the symmetric N-mode W state, run through the
+    splitter chain once per N, read-only and shared by the resources of
+    every (m, eta)."""
+    (v,) = _frozen(generate_w(symmetric_angles(n)).to_vector())
+    return v
 
 
 @lru_cache(maxsize=4096)
 def _conditional_resource_cached(n: int, m: int, eta: float) -> DensityOperator:
-    rho = _symmetric_w_density(n)
-    space, mat = rho.space, rho.matrix
-    if m:
-        vac = povm_number(0, DetectorModel(eta))
-        assignments = {2 + k: vac for k in range(m)}
-        keep = tuple(k for k in range(n) if k not in assignments)
-        space, mat = _condition_raw(space, mat, _povm_weights(space, assignments), keep)
-    if space.num_modes > 2:
-        space, mat = _ptrace_raw(space, mat, (0, 1))
-    return DensityOperator(
-        _RESOURCE_SPACE, _pad_raw(space, mat, _RESOURCE_SPACE), normalized=rho.normalized and not m
-    )
+    v = _w_vector(n)
+    # vacuum, photon in mode 1, photon in mode 0; FockSpace(2) lists them first
+    kept = v[[0, n - 1, n]]
+    pair = np.zeros((_RESOURCE_SPACE.dim, _RESOURCE_SPACE.dim), dtype=complex)
+    pair[:3, :3] += np.outer(kept, kept.conj())
+    # The vacuum entry in the partial traces' order: the conditioned modes
+    # m+1..2 weighted by the vacuum POVM, then the other traced modes
+    # N-1..m+2; a sum in one pass or by np.sum rounds differently.
+    d = (v * v.conj()).real.tolist()
+    sq = math.sqrt(1.0 - eta)
+    vacuum = d[0]
+    for k in range(n - m - 1, n - 1):
+        vacuum += sq * d[k] * sq
+    for k in range(1, n - m - 1):
+        vacuum += d[k]
+    pair[0, 0] = vacuum
+    return DensityOperator(_RESOURCE_SPACE, pair, normalized=not m)
 
 
 def conditional_resource(params: TeleportParams) -> DensityOperator:
@@ -419,10 +436,12 @@ def conditional_resource(params: TeleportParams) -> DensityOperator:
     Built by running the preparation circuit and conditioning modes
     2..m+1 on the vacuum outcome (unnormalized; the trace is the heralding
     probability (N - eta m)/N).  The photon number never exceeds one
-    before the qubit joins, so the circuit, the conditioning and the
-    partial trace run in the one-photon space of dimension N + 1; the pair
-    is then zero-padded into the two-photon space ``FockSpace(2)`` and
-    validated there.  Results are cached per (N, m, eta).
+    before the qubit joins, so the pair is reduced straight from the W
+    state's N + 1 amplitudes: the block of modes 0 and 1 is kept, and the
+    vacuum entry sums the other modes' photon weights, each conditioned
+    mode's scaled by its vacuum-POVM weight 1 - eta.  Only the pair, in
+    the two-photon space ``FockSpace(2)``, is validated as a density.
+    Results are cached per (N, m, eta).
     """
     return _conditional_resource_cached(params.N, params.m, params.eta)
 
@@ -750,15 +769,8 @@ def simulate_averaged(
 
 
 def _positive_count(name: str, value) -> int:
-    """``value`` as a Python int of at least 1: Python and numpy integers
-    pass, bools, floats and everything else raise ValueError naming
-    ``name``."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int of at least 1, checked by ``_integer``."""
+    count = _integer(name, value)
     if count < 1:
         raise ValueError(f"{name} {count} must be at least 1")
     return count

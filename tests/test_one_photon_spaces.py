@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wsim import (
+    DensityOperator,
     DetectorModel,
     FockSpace,
     PureState,
@@ -26,6 +27,8 @@ from wsim import (
     witness_ratio_simulated,
 )
 from wsim import detection, fock, teleport, witness
+
+from oracles import pad
 
 
 def random_coefficients(rng, n):
@@ -105,6 +108,52 @@ class TestExactAgainstTwoPhotonRoute:
             assert row.ratio == witness_ratio_simulated(reduced_pair(w, i, j), det).ratio
 
 
+def dense_resource(rho, m, eta):
+    """The heralded pair from the dense W density ``rho``: the vacuum-POVM
+    weights, the conditioning, the partial-trace plans and the zero padding
+    into FockSpace(2)."""
+    n, space, mat = rho.num_modes, rho.space, rho.matrix
+    if m:
+        vac = povm_number(0, DetectorModel(eta))
+        assignments = {2 + k: vac for k in range(m)}
+        keep = tuple(k for k in range(n) if k not in assignments)
+        sq = np.sqrt(detection._povm_weights(space, assignments))
+        space, mat = fock._ptrace_raw(space, sq[:, None] * mat * sq[None, :], keep)
+    if space.num_modes > 2:
+        space, mat = fock._ptrace_raw(space, mat, (0, 1))
+    return DensityOperator(
+        FockSpace(2), pad(space, mat, FockSpace(2)), normalized=rho.normalized and not m
+    )
+
+
+class TestResourceAgainstDenseRoute:
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_bit_equal(self, n):
+        rho = generate_w(symmetric_angles(n)).to_density()
+        etas = (1.0, 0.5, 1e-9, float(np.random.default_rng(n).uniform(0.05, 0.95)))
+        for m in sorted({0, 1, n // 2, n - 2} & set(range(n - 1))):
+            for eta in etas:
+                expected = dense_resource(rho, m, eta)
+                got = conditional_resource(TeleportParams(n, m, eta, 0.3))
+                assert got.matrix.tobytes() == expected.matrix.tobytes(), (n, m, eta)
+                assert got.normalized == expected.normalized
+
+    def test_large_network_validates_only_the_pair(self, monkeypatch):
+        check = fock._check_density_stack
+        shapes = []
+
+        def spy(matrices, normalized=False):
+            assert matrices.shape[-2:] == (6, 6), matrices.shape
+            shapes.append(matrices.shape)
+            return check(matrices, normalized)
+
+        monkeypatch.setattr(fock, "_check_density_stack", spy)
+        teleport._conditional_resource_cached.cache_clear()
+        rho = conditional_resource(TeleportParams(2048, 1024, 0.9, 0.7))
+        assert shapes == [(1, 6, 6)]
+        assert rho.trace() == pytest.approx((2048 - 0.9 * 1024) / 2048)
+
+
 class TestReducedPairCrossCheck:
     def test_disagreement_is_a_runtime_error(self, monkeypatch):
         original = witness._closed_pairs
@@ -132,7 +181,7 @@ class TestSharedBasis:
         small, big = FockSpace(3, 1), FockSpace(3)
         rng = np.random.default_rng(0)
         m = rng.normal(size=(small.dim, small.dim)) + 1j * rng.normal(size=(small.dim, small.dim))
-        out = fock._pad_raw(small, m, big)
+        out = pad(small, m, big)
         for a, occ_a in enumerate(big.basis):
             for b, occ_b in enumerate(big.basis):
                 if occ_a in small.index and occ_b in small.index:
@@ -155,7 +204,7 @@ class TestBoundedCaches:
             fock._mode_counts,
             teleport._operator_basis_maps,
             teleport._bell_unitary,
-            teleport._symmetric_w_density,
+            teleport._w_vector,
             detection._readout_unitary,
             detection._count_vectors,
             fock._photon_numbers,

@@ -32,6 +32,8 @@ from wsim import (
 from wsim import detection, fock, witness
 from wsim.config import TOL
 
+from oracles import pad
+
 PAIR = FockSpace(2)
 
 
@@ -45,7 +47,7 @@ def loop_reduced_pair(w, i, j):
     zero padding into FockSpace(2), one pair at a time."""
     rho = w_state_from_coefficients(w).to_density()
     sub_space, sub = fock._ptrace_raw(rho.space, rho.matrix, (i, j))
-    return DensityOperator(PAIR, fock._pad_raw(sub_space, sub, PAIR), normalized=rho.normalized)
+    return DensityOperator(PAIR, pad(sub_space, sub, PAIR), normalized=rho.normalized)
 
 
 def loop_moments(rho2, eta):
@@ -283,7 +285,7 @@ class TestBadSliceRejected:
         corrupt(rho[1], x, y)
         sub_space, sub = fock._ptrace_raw(FockSpace(n, 1), rho[1], (i, j))
         with pytest.raises(ValueError) as expected:
-            DensityOperator(PAIR, fock._pad_raw(sub_space, sub, PAIR), normalized=True)
+            DensityOperator(PAIR, pad(sub_space, sub, PAIR), normalized=True)
         amps = np.array([(w.alphas[i], w.alphas[j]) for w in ws])
         weight = np.array([abs(a) ** 2 + abs(b) ** 2 for a, b in amps])
         first, second = np.full(3, x), np.full(3, y)

@@ -71,6 +71,32 @@ class TestParams:
         with pytest.raises(ValueError):
             TeleportParams(1, 0, 0.5, 0.3)
 
+    @pytest.mark.parametrize("value", [3.5, "4", True, 4.0, None])
+    @pytest.mark.parametrize("field", ["N", "m"])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = {"N": 4, "m": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TeleportParams(sizes["N"], sizes["m"], 0.5, 0.3)
+
+    def test_numpy_integer_sizes_become_python_ints(self):
+        params = TeleportParams(np.int64(4), np.int32(1), 0.5, 0.3)
+        assert (params.N, params.m) == (4, 1)
+        assert type(params.N) is int and type(params.m) is int
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: critical_eta(3.5, 1),
+            lambda: optimal_theta(3.5, 1, 0.5),
+            lambda: max_fidelity_closed_form(4, 1.9, 0.5),
+            lambda: max_fidelity(True, 0, 0.5),
+        ],
+        ids=["critical_eta", "optimal_theta", "max_fidelity_closed_form", "max_fidelity"],
+    )
+    def test_size_checked_before_closed_forms(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
     def test_efficiency_range(self):
         with pytest.raises(ValueError):
             TeleportParams(3, 0, 0.0, 0.3)
