@@ -13,8 +13,9 @@ The commands are the three benchmark workloads (benchmarks/run.py) at seeds
 1-3, ten README examples and sweeps, four lines that run the preparation
 chain with phases, a zero splitter angle and larger N, two witness scans
 (one over the 2,016 pairs of a 64-mode state, and one with a vacuum pair,
-its note row, and pairs whose coefficient product is zero), and heralded
-resources at N = 1,024 for four cooperation counts.
+its note row, and pairs whose coefficient product is zero), heralded
+resources at N = 1,024 for four cooperation counts, and two lines at
+scale: the 2,048-mode symmetric W state and the resource at N = 4,096.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ EXAMPLES = [
     "witness-scan --symmetric 64 --eta 0.8",
     "witness-scan --coeffs 0,0,0.6,0.8j --eta 0.5",
     "teleport --N 1024 --m 0,1,512,1022 --eta 0.9,0.3 --theta 0.7",
+    "wstate --symmetric 2048",
+    "teleport --N 4096 --m 0,2048 --eta 0.9 --theta 0.7",
 ]
 
 

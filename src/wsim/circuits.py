@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .fock import FockSpace, PureState, _check_two_mode_unitary
+from .fock import FockSpace, PureState, _check_norm_sq, _check_two_mode_unitary
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,19 @@ def angles_from_coefficients(alphas) -> SplitterAngles:
 def generate_w(angles: SplitterAngles) -> PureState:
     """Run the chain on |1, 0, ..., 0> and apply the phase shifters.
 
+    The state is validated once, at return, in the one-photon space
+    ``FockSpace(N, 1)``.
+    """
+    return w_state_from_coefficients(_chain_amplitudes(angles))
+
+
+def _chain_amplitudes(angles: SplitterAngles) -> list:
+    """generate_w's amplitudes in mode order, unvalidated.
+
     The photon number is conserved, so the chain runs on the photon's N
     amplitudes, which transform by each splitter's matrix itself (fock's
     convention): splitter j mixes (v[j], v[j+1]), one Givens rotation of a
-    Reck triangle, and the phase shifters act next.  The state is validated
-    once, at return, in the one-photon space ``FockSpace(N, 1)``.
+    Reck triangle, and the phase shifters act next.
     """
     v = [1.0 + 0.0j] + [0j] * (angles.num_modes - 1)
     for j, theta in enumerate(angles.thetas):
@@ -171,8 +179,19 @@ def generate_w(angles: SplitterAngles) -> PureState:
         a, b = v[j], v[j + 1]
         v[j] = u[0, 0] * a + u[0, 1] * b
         v[j + 1] = u[1, 0] * a + u[1, 1] * b
-    v = [a * np.exp(-1j * phi) for a, phi in zip(v, angles.phis)]
-    return w_state_from_coefficients(v)
+    return [a * np.exp(-1j * phi) for a, phi in zip(v, angles.phis)]
+
+
+def _mode_amplitudes(alphas) -> np.ndarray:
+    """The amplitudes of w_state_from_coefficients(alphas) in mode order,
+    as a complex array, with no basis enumerated.
+
+    The WCoefficients and PureState checks run with their messages, and
+    each zero is stored as +0, as PureState stores it.
+    """
+    w = _as_coefficients(alphas)
+    _check_norm_sq(sum(abs(a) ** 2 for a in w.alphas), post_selected=False)
+    return np.array(w.alphas, dtype=complex) + 0.0
 
 
 def w_state_from_coefficients(alphas) -> PureState:

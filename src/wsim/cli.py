@@ -29,9 +29,10 @@ import sys
 
 from .circuits import (
     WCoefficients,
+    _chain_amplitudes,
+    _mode_amplitudes,
     angles_from_coefficients,
     coefficients_from_angles,
-    generate_w,
     symmetric_angles,
 )
 from .detection import DetectorModel
@@ -61,7 +62,10 @@ def _cell(value) -> str:
 
 
 def _emit(args, header: list[str], rows: list[dict]) -> None:
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w", newline="") if args.output else sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write --output: {exc}") from None
     try:
         if args.format == "json":
             config = {"command": args.command, "format": args.format, "seed": args.seed}
@@ -123,12 +127,8 @@ _WSTATE_HEADER = [
 def cmd_wstate(args) -> int:
     coeffs = _parse_coefficients(args)
     angles = angles_from_coefficients(coeffs)
-    state = generate_w(angles)
+    sims = _mode_amplitudes(_chain_amplitudes(angles)).tolist()
     n = len(coeffs)
-    sims = []
-    for j in range(n):
-        occ = tuple(1 if k == j else 0 for k in range(n))
-        sims.append(complex(state.amplitudes.get(occ, 0.0)))
     error = max(abs(a - s) for a, s in zip(coeffs.alphas, sims))
     rows = []
     for j in range(n):
@@ -256,8 +256,6 @@ def _critical_row(task) -> dict:
 
 
 def _run_tasks(worker, tasks, jobs: int) -> list[dict]:
-    if jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     # never more workers than rows or CPUs, whatever --jobs asks for
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
@@ -407,6 +405,8 @@ def main(argv=None) -> int:
     if args.json:
         args.format = "json"
     try:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,10 +58,10 @@ class FockSpace:
     Truncation is by total photon number (``total_cutoff``) and per-mode
     occupation (``mode_cutoff``, defaulting to the total cutoff).  The
     default cutoff of 2 holds every state where the sender's qubit meets
-    the network: one photon from the W state plus at most one more.  W
-    states carry exactly one photon, so they live in ``FockSpace(n, 1)``
-    of dimension n + 1; the pairs reduced from them are built directly in
-    the two-photon space ``FockSpace(2)``, where the qubit joins.
+    the network: one photon from the W state plus at most one more.  A W
+    state as a PureState lives in ``FockSpace(n, 1)`` of dimension n + 1;
+    the pairs reduced from it live in ``FockSpace(2)``, where the qubit
+    joins.
 
     ``num_modes = 0`` is the degenerate space left after measuring every
     mode; its only basis element is the empty tuple.  Equal spaces share
@@ -138,11 +138,7 @@ class PureState:
             if a != 0:
                 clean[i] = clean.get(i, 0.0) + a
         object.__setattr__(self, "amplitudes", {basis[i]: a for i, a in clean.items()})
-        n2 = self.norm_sq
-        if not 0.0 < n2 <= 1.0 + TOL.norm:
-            raise ValueError(f"squared norm {n2} outside (0, 1]")
-        if not self.post_selected and not abs(n2 - 1.0) <= TOL.norm:
-            raise ValueError("sub-unit norm requires the post_selected flag")
+        _check_norm_sq(self.norm_sq, self.post_selected)
 
     @property
     def num_modes(self) -> int:
@@ -163,6 +159,14 @@ class PureState:
         return DensityOperator(
             self.space, np.outer(v, v.conj()), normalized=abs(self.norm_sq - 1.0) <= TOL.norm
         )
+
+
+def _check_norm_sq(n2: float, post_selected: bool) -> None:
+    """PureState's norm check on a squared norm n2."""
+    if not 0.0 < n2 <= 1.0 + TOL.norm:
+        raise ValueError(f"squared norm {n2} outside (0, 1]")
+    if not post_selected and not abs(n2 - 1.0) <= TOL.norm:
+        raise ValueError("sub-unit norm requires the post_selected flag")
 
 
 def fock_state(space: FockSpace, occ) -> PureState:

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import bell_splitter, generate_w, symmetric_angles
+from .circuits import _chain_amplitudes, _mode_amplitudes, bell_splitter, symmetric_angles
 from .config import TOL
 from .detection import (
     DetectorModel,
@@ -401,30 +401,30 @@ _JOINT_SPACE = FockSpace(3)
 
 
 @lru_cache(maxsize=32)
-def _w_vector(n: int) -> np.ndarray:
-    """Amplitude vector of the symmetric N-mode W state, run through the
+def _w_amplitudes(n: int) -> np.ndarray:
+    """Mode amplitudes of the symmetric N-mode W state, run through the
     splitter chain once per N, read-only and shared by the resources of
     every (m, eta)."""
-    (v,) = _frozen(generate_w(symmetric_angles(n)).to_vector())
-    return v
+    (a,) = _frozen(_mode_amplitudes(_chain_amplitudes(symmetric_angles(n))))
+    return a
 
 
 @lru_cache(maxsize=4096)
 def _conditional_resource_cached(n: int, m: int, eta: float) -> DensityOperator:
-    v = _w_vector(n)
+    a = _w_amplitudes(n)
     # vacuum, photon in mode 1, photon in mode 0; FockSpace(2) lists them first
-    kept = v[[0, n - 1, n]]
+    kept = np.array([0.0, a[1], a[0]])
     pair = np.zeros((_RESOURCE_SPACE.dim, _RESOURCE_SPACE.dim), dtype=complex)
     pair[:3, :3] += np.outer(kept, kept.conj())
     # The vacuum entry in the partial traces' order: the conditioned modes
     # m+1..2 weighted by the vacuum POVM, then the other traced modes
-    # N-1..m+2; a sum in one pass or by np.sum rounds differently.
-    d = (v * v.conj()).real.tolist()
+    # N-1..m+2; any other order, or np.sum, rounds differently.
+    d = (a * a.conj()).real.tolist()
     sq = math.sqrt(1.0 - eta)
-    vacuum = d[0]
-    for k in range(n - m - 1, n - 1):
+    vacuum = 0.0
+    for k in range(m + 1, 1, -1):
         vacuum += sq * d[k] * sq
-    for k in range(1, n - m - 1):
+    for k in range(n - 1, m + 1, -1):
         vacuum += d[k]
     pair[0, 0] = vacuum
     return DensityOperator(_RESOURCE_SPACE, pair, normalized=not m)
@@ -435,12 +435,11 @@ def conditional_resource(params: TeleportParams) -> DensityOperator:
 
     Built by running the preparation circuit and conditioning modes
     2..m+1 on the vacuum outcome (unnormalized; the trace is the heralding
-    probability (N - eta m)/N).  The photon number never exceeds one
-    before the qubit joins, so the pair is reduced straight from the W
-    state's N + 1 amplitudes: the block of modes 0 and 1 is kept, and the
+    probability (N - eta m)/N).  The pair is reduced straight from the W
+    state's mode amplitudes: the block of modes 0 and 1 is kept, and the
     vacuum entry sums the other modes' photon weights, each conditioned
-    mode's scaled by its vacuum-POVM weight 1 - eta.  Only the pair, in
-    the two-photon space ``FockSpace(2)``, is validated as a density.
+    mode's scaled by its vacuum-POVM weight 1 - eta.  The pair, in the
+    two-photon space ``FockSpace(2)``, is validated as a density.
     Results are cached per (N, m, eta).
     """
     return _conditional_resource_cached(params.N, params.m, params.eta)

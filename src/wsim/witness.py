@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import WCoefficients, _as_coefficients, w_state_from_coefficients
+from .circuits import _as_coefficients, _mode_amplitudes
 from .config import TOL
 from .detection import DetectorModel, _lossy_moment_stack
 from .fock import DensityOperator, FockSpace, _check_density_stack, _photon_numbers
@@ -71,28 +71,21 @@ _PAIR_SPACE = FockSpace(2)
 # where the kept one-photon block of a reduced pair sits in FockSpace(2)
 _VACUUM, _SECOND, _FIRST = (_PAIR_SPACE.index[occ] for occ in ((0, 0), (0, 1), (1, 0)))
 # pairs per stack in scan_all_pairs: bounds the stack's temporaries at any N,
-# while the loop over the W basis in _reduce_pairs runs once per stack
+# while the loop over the modes in _reduce_pairs runs once per stack
 _PAIR_SLICE = 4096
 
 
 def reduced_pair(w, i: int, j: int) -> DensityOperator:
-    """Two-mode reduction of the W state onto modes (i, j), in that order.
+    """Two-mode reduction of the W state onto modes (i, j), in that order,
+    as a normalized DensityOperator on the two-photon space ``FockSpace(2)``.
 
-    The W state carries one photon, so its density |W><W| lives in the
-    one-photon space of dimension N + 1.  The reduced pair keeps the
-    density's 2x2 block at the basis states of modes i and j, and its
-    vacuum entry sums the density's diagonal over every other basis state
-    in basis order, which is the partial trace term for term; the pair is
-    zero-padded into the two-photon space ``FockSpace(2)`` and validated
-    as a normalized DensityOperator.  It is cross-checked against the
-    closed form p|Psi><Psi| + (1-p)|00><00| with
-    |Psi> = (alpha_i|10> + alpha_j|01>)/sqrt(p); the two must agree to
-    rounding, and a disagreement raises RuntimeError.  Errors with
-    ValueError when both coefficients vanish (the reduction is vacuum and
-    the witness is vacuous).
-
-    This is the one-pair call of the stacked reduction that scan_all_pairs
-    runs on all pairs of a state.
+    This is the partial trace of |W><W|: the pair keeps the one-photon
+    block of modes i and j, and its vacuum entry carries the photon weight
+    of every other mode.  It is cross-checked against the closed form
+    p|Psi><Psi| + (1-p)|00><00| with |Psi> = (alpha_i|10> + alpha_j|01>)/sqrt(p);
+    the two must agree to rounding, and a disagreement raises RuntimeError.
+    Errors with ValueError when both coefficients vanish (the reduction is
+    vacuum and the witness is vacuous).
     """
     (pair,) = _reduce_states([(_as_coefficients(w), i, j)])
     return DensityOperator(_PAIR_SPACE, pair, normalized=True)
@@ -100,72 +93,51 @@ def reduced_pair(w, i: int, j: int) -> DensityOperator:
 
 def _reduce_states(items) -> np.ndarray:
     """reduced_pair of each (WCoefficients, i, j) item, every item with its
-    own W state, as a (P, 6, 6) stack.  The densities are zero-padded to
-    the largest N, which appends exact zeros to each vacuum sum.
-
-    Each W vector is taken straight from its validated coefficients, in
-    the basis order of w_state_from_coefficients: the vacuum amplitude 0,
-    then the coefficients with the last mode first.  (That PureState
-    would turn a signed zero into +0; the reduction adds every entry onto
-    +0, so no pair can tell.)"""
-    dim = max(len(w.alphas) for w, _, _ in items) + 1
-    vectors = np.zeros((len(items), dim), dtype=complex)
+    own W state, as a (P, 6, 6) stack."""
+    weights = np.zeros((len(items), max(len(w.alphas) for w, _, _ in items)), dtype=complex)
     first, second, amps, weight = [], [], [], []
     for k, (w, i, j) in enumerate(items):
         n = len(w.alphas)
-        vectors[k, n:0:-1] = w.alphas
         i, j = int(i), int(j)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError("pair indices must be distinct and in range")
-        a_i, a_j = w.alphas[i], w.alphas[j]
-        p = abs(a_i) ** 2 + abs(a_j) ** 2
+        p = abs(w.alphas[i]) ** 2 + abs(w.alphas[j]) ** 2
         if p <= TOL.support:
             raise ValueError(f"modes ({i}, {j}) carry no photon weight; pair state is vacuum")
-        first.append(n - i)
-        second.append(n - j)
-        amps.append((a_i, a_j))
+        a = _mode_amplitudes(w)
+        weights[k, :n] = a * a.conj()
+        first.append(i)
+        second.append(j)
+        amps.append((a[i], a[j]))
         weight.append(p)
-    # PureState's norm check, on every vector at once
-    norm_sq = np.sum(np.abs(vectors) ** 2, axis=1)
-    outside = ~((0.0 < norm_sq) & (norm_sq <= 1.0 + TOL.norm))
-    if outside.any():
-        raise ValueError(f"squared norm {float(norm_sq[outside][0])} outside (0, 1]")
-    if not np.all(np.abs(norm_sq - 1.0) <= TOL.norm):
-        raise ValueError("sub-unit norm requires the post_selected flag")
-    rho = vectors[:, :, None] * vectors.conj()[:, None, :]
-    return _reduce_pairs(rho, np.array(first), np.array(second), np.array(amps), np.array(weight))
+    return _reduce_pairs(weights, np.array(first), np.array(second), np.array(amps), np.array(weight))
 
 
 def _reduce_pairs(
-    rho: np.ndarray, first: np.ndarray, second: np.ndarray, amps: np.ndarray, weight: np.ndarray
+    weights: np.ndarray, first: np.ndarray, second: np.ndarray, amps: np.ndarray, weight: np.ndarray
 ) -> np.ndarray:
-    """Reduced pair states from a (P, D, D) stack of one-photon W densities,
-    as a (P, 6, 6) stack in ``FockSpace(2)``.
+    """Reduced pair states of W states, as a (P, 6, 6) stack in ``FockSpace(2)``.
 
-    Slice p of ``rho`` is the outer product |W><W| of a validated W state
-    (one density may be broadcast to every pair); ``first[p]`` and
-    ``second[p]`` are the basis indices of the photon in the pair's first
-    and second mode, ``amps[p]`` their coefficients and ``weight[p]`` the
-    pair's photon weight p.  Each slice equals, bit for bit, the partial
-    trace plan's reduction of that density zero-padded into FockSpace(2):
-    the plan adds each kept entry onto zero once, and the vacuum entry's
-    terms one by one in basis order.  Every slice is validated as a
-    normalized DensityOperator (a W state is a normalized PureState, so
-    its density has unit trace) and compared with the closed form.
+    ``weights`` holds each W state's photon weights a * a.conj() by mode,
+    as a (P, N) stack or one row shared by every pair; they stay complex,
+    as the diagonal of |W><W| is.  ``first[p]`` and ``second[p]`` are the
+    pair's modes, ``amps[p]`` their amplitudes and ``weight[p]`` the pair's
+    photon weight p.  Each slice is the partial trace of |W><W| onto the
+    pair, bit for bit: the kept block is added onto zeros once, and the
+    vacuum entry adds the other modes' weights one by one, from the last
+    mode down.  Every slice is validated as a normalized DensityOperator
+    and compared with the closed form.
     """
-    count, dim = rho.shape[0], rho.shape[-1]
-    diag = np.diagonal(rho, axis1=-2, axis2=-1)
+    count = len(first)
     vacuum = np.zeros(count, dtype=complex)
     # one term at a time: np.sum adds pairwise and rounds differently
-    for k in range(dim):
-        vacuum += np.where((first == k) | (second == k), 0.0, diag[:, k])
-    kept = np.stack([np.zeros_like(first), second, first], axis=1)
-    block = np.array([_VACUUM, _SECOND, _FIRST])
+    for k in range(weights.shape[-1] - 1, -1, -1):
+        vacuum += np.where((first == k) | (second == k), 0.0, weights[..., k])
+    kept = amps[:, ::-1]
+    block = np.array([_SECOND, _FIRST])
     pairs = np.zeros((count, _PAIR_SPACE.dim, _PAIR_SPACE.dim), dtype=complex)
-    # added onto zeros, not assigned: a -0.0 entry comes out as 0.0, as in the plan
-    pairs[:, block[:, None], block] += rho[
-        np.arange(count)[:, None, None], kept[:, :, None], kept[:, None, :]
-    ]
+    # added onto zeros, not assigned: a -0.0 entry comes out as 0.0, as in a partial trace
+    pairs[:, block[:, None], block] += kept[:, :, None] * kept.conj()[:, None, :]
     pairs[:, _VACUUM, _VACUUM] = vacuum
     _check_density_stack(pairs, normalized=True)
     if np.abs(pairs - _closed_pairs(amps, weight)).max() > TOL.exact_match:
@@ -256,21 +228,19 @@ def witness_ratio_closed_form(alpha_i: complex, alpha_j: complex, det: DetectorM
 def scan_all_pairs(w, det: DetectorModel) -> WitnessScanReport:
     """Witness every mode pair of a W state; certify full pairwise violation.
 
-    The W state's amplitude vector and its density are built once; the
-    pairs are reduced and read out in stacks of _PAIR_SLICE, each pair
-    bit for bit as reduced_pair and witness_ratio_simulated give it, and
-    each checked against the closed form.  Pairs where both coefficients
-    vanish are reported as non-violations with a note instead of raising,
-    so degenerate inputs yield a truthful failed certification.
+    The pairs are reduced and read out in stacks of _PAIR_SLICE pairs,
+    each pair bit for bit as reduced_pair and witness_ratio_simulated give
+    it, and each checked against the closed form.  Pairs where both
+    coefficients vanish are reported as non-violations with a note instead
+    of raising, so degenerate inputs yield a truthful failed certification.
     """
     w = _as_coefficients(w)
-    n = len(w.alphas)
-    v = w_state_from_coefficients(w).to_vector()
-    rho = np.outer(v, v.conj())
-    alphas = np.array(w.alphas, dtype=complex)
+    a = _mode_amplitudes(w)
+    n = len(a)
     firsts, seconds = np.triu_indices(n, k=1)
-    weight = np.array([abs(a) ** 2 for a in w.alphas])
+    weight = np.array([abs(x) ** 2 for x in w.alphas])
     weight = weight[firsts] + weight[seconds]
+    weights = a * a.conj()
     results = [
         PairWitnessResult(
             pair=(i, j),
@@ -289,13 +259,7 @@ def scan_all_pairs(w, det: DetectorModel) -> WitnessScanReport:
     for start in range(0, len(live), _PAIR_SLICE):
         rows = live[start : start + _PAIR_SLICE]
         i, j = firsts[rows], seconds[rows]
-        pairs = _reduce_pairs(
-            np.broadcast_to(rho, (len(rows),) + rho.shape),
-            n - i,
-            n - j,
-            np.stack([alphas[i], alphas[j]], axis=1),
-            weight[rows],
-        )
+        pairs = _reduce_pairs(weights, i, j, np.stack([a[i], a[j]], axis=1), weight[rows])
         labels = zip(i.tolist(), j.tolist())
         stack = _witness_stack(_PAIR_SPACE, pairs, itertools.repeat(det.eta), labels)
         for row, res in zip(rows.tolist(), stack):

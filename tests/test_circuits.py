@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -20,6 +21,7 @@ from wsim import (
     symmetric_angles,
     w_state_from_coefficients,
 )
+from wsim import circuits
 
 
 def random_coefficients(rng, n):
@@ -178,3 +180,61 @@ class TestConventionRobustness:
             assert abs(
                 state.amplitudes.get(occ_src, 0.0) - state_p.amplitudes.get(occ_dst, 0.0)
             ) < 1e-10
+
+
+def read_by_mode(state):
+    """A one-photon PureState's amplitudes, looked up mode by mode."""
+    n, v = state.num_modes, state.to_vector()
+    return np.array([v[state.space.index[tuple(int(k == j) for k in range(n))]] for j in range(n)])
+
+
+class TestModeAmplitudes:
+    """_mode_amplitudes is w_state_from_coefficients read by mode, byte for
+    byte and error for error."""
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            (0.6, 0.8j),
+            (0.6, -0.0, 0.8j),
+            (complex(-0.0, 0.6), complex(0.8, -0.0)),
+            (complex(-0.0, -0.0), 0.0, complex(0.6, -0.0), -0.8),
+            (complex(0.0, -0.0), -0.6, complex(-0.0, 0.8)),
+        ],
+    )
+    def test_signed_zeros(self, alphas):
+        got = circuits._mode_amplitudes(alphas)
+        assert got.tobytes() == read_by_mode(w_state_from_coefficients(alphas)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_chain_and_random_coefficients(self, n):
+        rng = np.random.default_rng(n)
+        coeffs = random_coefficients(rng, n)
+        angles = SplitterAngles(
+            tuple(rng.uniform(0.0, math.pi / 2.0, n - 1)), tuple(rng.uniform(0.0, 6.0, n))
+        )
+        for alphas in (coeffs, coeffs.alphas, circuits._chain_amplitudes(angles)):
+            got = circuits._mode_amplitudes(alphas)
+            assert got.tobytes() == read_by_mode(w_state_from_coefficients(alphas)).tobytes()
+        for angles in (angles, symmetric_angles(n)):
+            got = circuits._mode_amplitudes(circuits._chain_amplitudes(angles))
+            assert got.tobytes() == read_by_mode(generate_w(angles)).tobytes()
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            (1.0,),
+            (0.6, 0.6),
+            (math.nan, 1.0),
+            # WCoefficients allows a squared-norm error of TOL.norm * N,
+            # PureState TOL.norm, on either side of one
+            tuple(math.sqrt(1.0 + 5e-12) / math.sqrt(10) for _ in range(10)),
+            tuple(math.sqrt(1.0 - 5e-12) / math.sqrt(10) for _ in range(10)),
+        ],
+        ids=["one-mode", "unnormalized", "nan", "norm-above", "norm-below"],
+    )
+    def test_same_errors(self, alphas):
+        with pytest.raises(ValueError) as expected:
+            w_state_from_coefficients(alphas)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            circuits._mode_amplitudes(alphas)

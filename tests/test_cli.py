@@ -242,6 +242,36 @@ class TestOutputPlumbing:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wstate", "--symmetric", "3", "--jobs", "-2", "--json"],
+            ["witness-scan", "--symmetric", "3", "--jobs", "0"],
+            ["verify", "--jobs", "0"],
+        ],
+        ids=["wstate", "witness-scan", "verify"],
+    )
+    def test_jobs_below_one_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        def battery(**kwargs):
+            raise AssertionError("the battery ran")
+
+        monkeypatch.setattr("wsim.cli.run_verification", battery)
+        assert run(capsys, argv) == (2, "", "error: --jobs must be at least 1\n")
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "argv", [["wstate", "--symmetric", "3"], ["verify", "--seed", "1"]], ids=["wstate", "verify"]
+    )
+    def test_unwritable_output_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, verification, argv, target
+    ):
+        monkeypatch.setattr("wsim.cli.run_verification", verification)
+        path = tmp_path / "missing" / "rows.csv" if target == "missing-directory" else tmp_path
+        code, out, err = run(capsys, argv + ["--output", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --output: ")
+        assert err.count("\n") == 1
+
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, runs in-process."""

@@ -27,6 +27,7 @@ from wsim import (
     witness_ratio_simulated,
 )
 from wsim import detection, fock, teleport, witness
+from wsim.cli import main
 
 from oracles import pad
 
@@ -190,6 +191,35 @@ class TestSharedBasis:
                     assert out[a, b] == 0
 
 
+class TestNoLargeOnePhotonBasis:
+    """The CLI reads W states by mode: no command enumerates a one-photon
+    basis above N = 64, whatever its N."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--N", "4096", "--m", "0,2048", "--eta", "0.9", "--theta", "0.7"],
+            ["wstate", "--symmetric", "2048"],
+            ["witness-scan", "--symmetric", "100"],
+        ],
+        ids=["teleport", "wstate", "witness-scan"],
+    )
+    def test_cli(self, monkeypatch, capsys, argv):
+        tables = fock._basis_tables
+        modes = []
+
+        def spy(num_modes, total_cutoff, mode_cutoff):
+            modes.append(num_modes)
+            return tables(num_modes, total_cutoff, mode_cutoff)
+
+        monkeypatch.setattr(fock, "_basis_tables", spy)
+        teleport._conditional_resource_cached.cache_clear()
+        teleport._w_amplitudes.cache_clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert max(modes, default=0) <= 64
+
+
 class TestBoundedCaches:
     @pytest.mark.parametrize(
         "cached",
@@ -204,7 +234,7 @@ class TestBoundedCaches:
             fock._mode_counts,
             teleport._operator_basis_maps,
             teleport._bell_unitary,
-            teleport._w_vector,
+            teleport._w_amplitudes,
             detection._readout_unitary,
             detection._count_vectors,
             fock._photon_numbers,

@@ -1,8 +1,8 @@
 """Stacked witness pairs reduced from the W amplitudes.
 
 reduced_pair, witness_ratio_simulated, scan_all_pairs and the witness
-claim of verify reduce W-state pairs straight from the amplitude vector's
-outer product and read them out as one stack.  The per-pair route they
+claim of verify reduce W-state pairs straight from the W state's mode
+amplitudes and read them out as one stack.  The per-pair route they
 replaced (the W density as a DensityOperator, the partial-trace plan,
 zero padding, and one readout per pair) is kept here as the oracle: every
 pair state, photon weight and ratio must equal it bit for bit.  A bad
@@ -193,7 +193,7 @@ class TestEqualsPerPairRoute:
         for (w, i, j), eta, res in zip(items, etas, got):
             assert res.pair is None
             assert (res.p_ij, res.ratio) == loop_witness(loop_reduced_pair(w, i, j), eta)
-        # the W vectors come straight from the coefficients, not from a
+        # the amplitudes come straight from the coefficients, not from a
         # PureState per item, and every pair keeps the oracle's bytes
         stack = witness._reduce_states(items)
         for (w, i, j), pair in zip(items, stack):
@@ -223,8 +223,8 @@ class TestEqualsPerPairRoute:
 
 class TestOnlyNormalizedStatesReachTheStack:
     """WCoefficients accepts a squared-norm error of up to TOL.norm * N,
-    but the W state built from them is a PureState, which allows TOL.norm;
-    so every density the stack reduces is normalized, and each pair is
+    but PureState's norm check, which allows TOL.norm, runs on every W
+    state; so every state the stack reduces is normalized, and each pair is
     validated as a normalized DensityOperator."""
 
     @pytest.mark.parametrize("error, message", [(5e-12, "squared norm"), (-5e-12, "sub-unit norm")])
@@ -256,41 +256,49 @@ class TestNoPlanPerPair:
 # ---------------------------------------------------------------------------
 
 
-def corrupt_hermiticity(rho, x, y):
-    rho[x, y] += 1e-6
+def corrupt_positivity(weights, amps):
+    weights[1, 1] = -0.1
 
 
-def corrupt_positivity(rho, x, y):
-    rho[x, y] *= 3.0
-    rho[y, x] *= 3.0
+def corrupt_trace(weights, amps):
+    weights[1, 1] += 1e-6
 
 
-def corrupt_trace(rho, x, y):
-    rho[0, 0] += 1e-6
+def corrupt_finiteness(weights, amps):
+    amps[1, 0] = np.nan
 
 
-def corrupt_finiteness(rho, x, y):
-    rho[x, x] = np.nan
+def dense_pair(weights, i, j, amps):
+    """One W state's pair written out entry by entry: the kept block, and
+    the other modes' weights summed into the vacuum entry."""
+    m = np.zeros((PAIR.dim, PAIR.dim), dtype=complex)
+    kept = [PAIR.index[(1, 0)], PAIR.index[(0, 1)]]
+    m[np.ix_(kept, kept)] = np.outer(amps, amps.conj())
+    m[PAIR.index[(0, 0)], PAIR.index[(0, 0)]] = sum(
+        weights[k] for k in range(len(weights)) if k not in (i, j)
+    )
+    return m
 
 
 class TestBadSliceRejected:
-    @pytest.mark.parametrize(
-        "corrupt", [corrupt_hermiticity, corrupt_positivity, corrupt_trace, corrupt_finiteness]
-    )
+    """A corrupted slice in the middle of a stack is refused with the
+    message DensityOperator gives for it.  A block built as a * conj(b) is
+    Hermitian bit for bit, so that message is covered on the validator
+    alone (test_stacked_pipeline.py::TestStackValidator)."""
+
+    @pytest.mark.parametrize("corrupt", [corrupt_positivity, corrupt_trace, corrupt_finiteness])
     def test_message_of_density_operator(self, corrupt):
         ws = [symmetric(3), WCoefficients((0.6, 0.0, 0.8j)), symmetric(3)]
-        rho = np.array([np.outer(v, v.conj()) for v in (w_state_from_coefficients(w).to_vector() for w in ws)])
-        n, i, j = 3, 0, 2
-        x, y = n - i, n - j  # the basis lists the photon in the last mode first
-        corrupt(rho[1], x, y)
-        sub_space, sub = fock._ptrace_raw(FockSpace(n, 1), rho[1], (i, j))
+        i, j = 0, 2
+        a = np.array([w.alphas for w in ws])
+        weights, amps = a * a.conj(), a[:, [i, j]]
+        corrupt(weights, amps)
         with pytest.raises(ValueError) as expected:
-            DensityOperator(PAIR, pad(sub_space, sub, PAIR), normalized=True)
-        amps = np.array([(w.alphas[i], w.alphas[j]) for w in ws])
-        weight = np.array([abs(a) ** 2 + abs(b) ** 2 for a, b in amps])
-        first, second = np.full(3, x), np.full(3, y)
+            DensityOperator(PAIR, dense_pair(weights[1], i, j, amps[1]), normalized=True)
+        weight = (amps * amps.conj()).real.sum(axis=1)
+        first, second = np.full(3, i), np.full(3, j)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
-            witness._reduce_pairs(rho, first, second, amps, weight)
+            witness._reduce_pairs(weights, first, second, amps, weight)
 
 
 class TestClosedFormDisagreement:
