@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .fock import FockSpace, PureState, _check_norm_sq, _check_two_mode_unitary
+from .fock import FockSpace, PureState, _check_norm_sq, _check_two_mode_unitary, _integer
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,13 @@ def bell_splitter(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def _check_angle(theta: float) -> None:
+    """The rule for every splitter angle: theta in [0, pi/2], with 1e-12 of
+    slack above so that a rounded pi/2 passes; ValueError otherwise."""
+    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+        raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
+
+
 @dataclass(frozen=True)
 class SplitterAngles:
     """Angles for an N-mode preparation chain: N-1 splitters, N phases.
@@ -83,8 +90,7 @@ class SplitterAngles:
         if len(thetas) < 1:
             raise ValueError("need at least one splitter angle")
         for t in thetas:
-            if not 0.0 <= t <= math.pi / 2 + 1e-12:
-                raise ValueError(f"splitter angle {t} outside [0, pi/2]")
+            _check_angle(t)
         object.__setattr__(self, "thetas", thetas)
         if self.phis is None:
             object.__setattr__(self, "phis", (0.0,) * (len(thetas) + 1))
@@ -105,7 +111,7 @@ def symmetric_angles(num_modes: int) -> SplitterAngles:
     Splitter j must peel off 1/(N-j) of the photon flux still travelling,
     hence theta_j = arcsin(1/sqrt(N-j)).
     """
-    if num_modes < 2:
+    if _integer("num_modes", num_modes) < 2:
         raise ValueError("a W state needs at least two modes")
     return SplitterAngles(
         tuple(math.asin(1.0 / math.sqrt(num_modes - j)) for j in range(num_modes - 1))

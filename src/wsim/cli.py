@@ -26,6 +26,7 @@ import json
 import locale  # noqa: F401
 import os
 import sys
+from contextlib import nullcontext
 
 from .circuits import (
     WCoefficients,
@@ -35,8 +36,9 @@ from .circuits import (
     coefficients_from_angles,
     symmetric_angles,
 )
-from .detection import DetectorModel
+from .detection import _DETECTOR_KINDS, DetectorModel
 from .teleport import (
+    _EVENT_SETS,
     TeleportParams,
     TeleportReport,
     averaged_fidelity_probability,
@@ -61,34 +63,26 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(args, header: list[str], rows: list[dict]) -> None:
-    try:
-        out = open(args.output, "w", newline="") if args.output else sys.stdout
-    except OSError as exc:
-        raise ValueError(f"cannot write --output: {exc}") from None
-    try:
-        if args.format == "json":
-            config = {"command": args.command, "format": args.format, "seed": args.seed}
-            for key, value in sorted(vars(args).items()):
-                if key in ("command", "format", "seed", "output", "json", "jobs", "func"):
-                    continue
-                config[key] = value
-            config["jobs"] = args.jobs
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "config": config,
-                "rows": [{key: row.get(key) for key in header} for row in rows],
-            }
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-        else:
-            writer = csv.writer(out)
-            writer.writerow(["schema_version"] + header)
-            for row in rows:
-                writer.writerow([SCHEMA_VERSION] + [_cell(row.get(key)) for key in header])
-    finally:
-        if args.output:
-            out.close()
+def _emit(args, out, header: list[str], rows: list[dict]) -> None:
+    if args.format == "json":
+        config = {"command": args.command, "format": args.format, "seed": args.seed}
+        for key, value in sorted(vars(args).items()):
+            if key in ("command", "format", "seed", "output", "json", "jobs", "func"):
+                continue
+            config[key] = value
+        config["jobs"] = args.jobs
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "config": config,
+            "rows": [{key: row.get(key) for key in header} for row in rows],
+        }
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    else:
+        writer = csv.writer(out)
+        writer.writerow(["schema_version"] + header)
+        for row in rows:
+            writer.writerow([SCHEMA_VERSION] + [_cell(row.get(key)) for key in header])
 
 
 def _parse_coefficients(args) -> WCoefficients:
@@ -124,7 +118,7 @@ _WSTATE_HEADER = [
 ]
 
 
-def cmd_wstate(args) -> int:
+def cmd_wstate(args, out) -> int:
     coeffs = _parse_coefficients(args)
     angles = angles_from_coefficients(coeffs)
     sims = _mode_amplitudes(_chain_amplitudes(angles)).tolist()
@@ -144,7 +138,7 @@ def cmd_wstate(args) -> int:
                 "round_trip_error": error,
             }
         )
-    _emit(args, _WSTATE_HEADER, rows)
+    _emit(args, out, _WSTATE_HEADER, rows)
     return 0
 
 
@@ -163,7 +157,7 @@ _WITNESS_HEADER = [
 ]
 
 
-def cmd_witness_scan(args) -> int:
+def cmd_witness_scan(args, out) -> int:
     coeffs = _parse_coefficients(args)
     if args.eta <= 0.0:
         raise ValueError("a detection scan needs a positive efficiency")
@@ -189,7 +183,7 @@ def cmd_witness_scan(args) -> int:
     rows.append(
         {"row_type": "summary", "all_violated": report.all_violated, "note": report.conclusion}
     )
-    _emit(args, _WITNESS_HEADER, rows)
+    _emit(args, out, _WITNESS_HEADER, rows)
     return 0
 
 
@@ -269,7 +263,7 @@ def _run_tasks(worker, tasks, jobs: int) -> list[dict]:
         return list(pool.map(worker, tasks))
 
 
-def cmd_teleport(args) -> int:
+def cmd_teleport(args, out) -> int:
     ns = _parse_grid(args.N, int, "N")
     etas = _parse_grid(args.eta, float, "eta") if args.eta else [1.0]
 
@@ -303,7 +297,7 @@ def cmd_teleport(args) -> int:
             for theta in thetas
         ]
         rows = _run_tasks(_sweep_row, tasks, args.jobs)
-    _emit(args, _TELEPORT_HEADER, rows)
+    _emit(args, out, _TELEPORT_HEADER, rows)
     return 0
 
 
@@ -312,7 +306,7 @@ def cmd_teleport(args) -> int:
 _VERIFY_HEADER = ["claim_id", "description", "residual", "tolerance", "passed"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     claims = run_verification(seed=args.seed, tolerance=args.tolerance)
     rows = [
         {
@@ -324,7 +318,7 @@ def cmd_verify(args) -> int:
         }
         for c in claims
     ]
-    _emit(args, _VERIFY_HEADER, rows)
+    _emit(args, out, _VERIFY_HEADER, rows)
     return 0 if all(c.passed for c in claims) else 1
 
 
@@ -371,12 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default=None, help="cooperating counts, comma separated (default: all)")
     p.add_argument("--eta", default="1", help="efficiencies, comma separated")
     p.add_argument("--theta", default=None, help="splitter angles in radians, comma separated")
-    p.add_argument(
-        "--detector",
-        choices=("number", "number-resolving", "onoff", "on-off"),
-        default="number",
-    )
-    p.add_argument("--events", choices=("D10", "D01", "both"), default="D10")
+    p.add_argument("--detector", choices=_DETECTOR_KINDS, default="number")
+    p.add_argument("--events", choices=_EVENT_SETS, default="D10")
     p.add_argument("--optimize", action="store_true", help="maximize over the splitter angle")
     p.add_argument(
         "--critical-eta",
@@ -407,7 +397,14 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
-        return args.func(args)
+        # opened before any work, so an unwritable path costs nothing; a
+        # later usage error leaves the file empty, as `>` redirection does
+        try:
+            target = open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output: {exc}") from None
+        with target as out:
+            return args.func(args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from .fock import (
     _check_two_mode_unitary,
     _embedded_unitary,
     _frozen,
+    _integer,
     _mode_counts,
     _phase_raw,
     _ptrace_raw,
@@ -36,6 +37,15 @@ from .fock import (
     _unitary_raw,
     vacuum_state,
 )
+
+
+# accepted detector kinds -> the back-end that reads them
+_DETECTOR_KINDS = {
+    "number": "number",
+    "number-resolving": "number",
+    "onoff": "onoff",
+    "on-off": "onoff",
+}
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,10 @@ def povm_number(k: int, det: DetectorModel, cutoff: int = 2) -> PovmElement:
 
     Given l arriving photons the count is Binomial(l, eta), so the diagonal
     entry at l is C(l, k) eta^k (1-eta)^(l-k); the family k = 0..cutoff sums
-    to the identity on the truncated space.
+    to the identity on the truncated space.  k and cutoff must be integers
+    (ValueError otherwise).
     """
-    k = int(k)
+    k, cutoff = _integer("k", k), _integer("cutoff", cutoff)
     if k < 0 or k > cutoff:
         raise ValueError(f"count {k} outside the detector cutoff {cutoff}")
     eta = det.eta
@@ -99,9 +110,10 @@ def povm_onoff(on: bool, det: DetectorModel, cutoff: int = 2) -> PovmElement:
     """Outcome of a detector that only separates vacuum from "some photons".
 
     off is the k = 0 number outcome; on is its complement 1 - (1-eta)^l.
+    cutoff must be an integer (ValueError otherwise).
     """
     eta = det.eta
-    off = tuple((1.0 - eta) ** l for l in range(cutoff + 1))
+    off = tuple((1.0 - eta) ** l for l in range(_integer("cutoff", cutoff) + 1))
     if on:
         return PovmElement(tuple(1.0 - e for e in off), label="some")
     return PovmElement(off, label="off")
@@ -276,14 +288,17 @@ def povm_moments(
 ) -> tuple[float, float, float]:
     """Same triple as lossy_moments via the joint POVM outcome distribution.
 
-    kind selects the detector back-end: "number" counts photons (and must
-    agree with lossy_moments to rounding), "onoff" registers clicks valued
-    0/1 (and agrees whenever at most one photon can arrive per output).
+    kind selects the detector back-end, under any name TeleportParams
+    accepts: "number" (or "number-resolving") counts photons (and must
+    agree with lossy_moments to rounding), "onoff" (or "on-off") registers
+    clicks valued 0/1 (and agrees whenever at most one photon can arrive
+    per output).
     """
     _require_two_mode_normalized(rho2.space, rho2.matrix)
-    if kind == "number":
+    back_end = _DETECTOR_KINDS.get(kind)
+    if back_end == "number":
         outcomes = [(povm_number(k, det), float(k)) for k in range(3)]
-    elif kind == "onoff":
+    elif back_end == "onoff":
         outcomes = [(povm_onoff(False, det), 0.0), (povm_onoff(True, det), 1.0)]
     else:
         raise ValueError(f"unknown detector back-end {kind!r}")

@@ -21,6 +21,7 @@ photon number; overflow raises instead of silently dropping amplitude.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -30,6 +31,24 @@ import numpy as np
 from .config import TOL
 
 Occupation = tuple[int, ...]
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: Python and numpy integers pass, bools,
+    floats, strings and everything else raise ValueError naming ``name``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _positive_count(name: str, value) -> int:
+    """``value`` as a Python int of at least 1, checked by ``_integer``."""
+    if (count := _integer(name, value)) < 1:
+        raise ValueError(f"{name} {count} must be at least 1")
+    return count
 
 
 @lru_cache(maxsize=256)
@@ -65,7 +84,9 @@ class FockSpace:
 
     ``num_modes = 0`` is the degenerate space left after measuring every
     mode; its only basis element is the empty tuple.  Equal spaces share
-    one enumeration of their basis and index.
+    one enumeration of their basis and index.  Each size must be a
+    non-negative integer (numpy integers become Python ints); anything
+    else raises ValueError naming it.
     """
 
     num_modes: int
@@ -73,14 +94,12 @@ class FockSpace:
     mode_cutoff: int | None = None
 
     def __post_init__(self) -> None:
-        if self.num_modes < 0:
-            raise ValueError("num_modes must be non-negative")
-        if self.total_cutoff < 0:
-            raise ValueError("total_cutoff must be non-negative")
         if self.mode_cutoff is None:
             object.__setattr__(self, "mode_cutoff", self.total_cutoff)
-        elif self.mode_cutoff < 0:
-            raise ValueError("mode_cutoff must be non-negative")
+        for name in ("num_modes", "total_cutoff", "mode_cutoff"):
+            if (value := _integer(name, getattr(self, name))) < 0:
+                raise ValueError(f"{name} must be non-negative")
+            object.__setattr__(self, name, value)
 
     @cached_property
     def basis(self) -> tuple[Occupation, ...]:
@@ -103,7 +122,7 @@ def canonical_basis(
     The ordering is graded lexicographic (ascending total photon number,
     then lexicographic on counts), deterministic, and stable across runs.
     """
-    if num_modes < 1:
+    if _integer("num_modes", num_modes) < 1:
         raise ValueError("num_modes must be at least 1")
     return list(FockSpace(num_modes, total_cutoff, mode_cutoff).basis)
 

@@ -22,16 +22,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import _chain_amplitudes, _mode_amplitudes, bell_splitter, symmetric_angles
+from .circuits import (
+    _chain_amplitudes,
+    _check_angle,
+    _mode_amplitudes,
+    bell_splitter,
+    symmetric_angles,
+)
 from .config import TOL
 from .detection import (
+    _DETECTOR_KINDS,
     DetectorModel,
     _condition_outcomes_raw,
     _povm_weights,
@@ -47,7 +53,9 @@ from .fock import (
     _embedded_real_unitaries,
     _embedded_unitary,
     _frozen,
+    _integer,
     _phase_raw,
+    _positive_count,
     _ptrace_raw,
     _tensor_checked,
     _tensor_plan,
@@ -101,28 +109,11 @@ def _accepted_event(event) -> BellEvent:
     return event
 
 
-_DETECTOR_KINDS = {
-    "number": "number",
-    "number-resolving": "number",
-    "onoff": "onoff",
-    "on-off": "onoff",
-}
 _EVENT_SETS = {
     "D10": (BellEvent.D10,),
     "D01": (BellEvent.D01,),
     "both": (BellEvent.D10, BellEvent.D01),
 }
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int: Python and numpy integers pass, bools,
-    floats, strings and everything else raise ValueError naming ``name``."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -145,8 +136,7 @@ class TeleportParams:
         eta, theta = float(self.eta), float(self.theta)
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"efficiency {eta} outside (0, 1]")
-        if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-            raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
+        _check_angle(theta)
         kind = _DETECTOR_KINDS.get(self.detector_kind)
         if kind is None:
             raise ValueError(f"unknown detector kind {self.detector_kind!r}")
@@ -349,8 +339,7 @@ def _grid_terms(thetas) -> np.ndarray:
     for start in range(0, len(grid), _TERM_BLOCK):
         block = grid[start : start + _TERM_BLOCK].tolist()
         for theta in block:
-            if not 0.0 <= theta <= math.pi / 2 + 1e-12:
-                raise ValueError(f"splitter angle {theta} outside [0, pi/2]")
+            _check_angle(theta)
         terms[:, start : start + len(block)] = _angle_terms(block)
     return terms
 
@@ -710,9 +699,10 @@ def _tree_sums(n: int, leaf_sums, leaf: int) -> np.ndarray:
 
 def _bloch_nodes(n_polar: int, n_azimuth: int) -> list[tuple[float, UnknownQubit]]:
     """(weight, qubit) of each node of the Bloch quadrature, polar-major:
-    Gauss-Legendre in cos(theta_i) crossed with a uniform azimuthal grid."""
-    if n_azimuth < 1:
-        raise ValueError(f"n_azimuth {n_azimuth} must be at least 1")
+    Gauss-Legendre in cos(theta_i) crossed with a uniform azimuthal grid.
+    Both sizes must be integers of at least 1 (ValueError otherwise)."""
+    n_polar = _positive_count("n_polar", n_polar)
+    n_azimuth = _positive_count("n_azimuth", n_azimuth)
     xs, wx = np.polynomial.legendre.leggauss(n_polar)
     nodes = []
     for x, w in zip(xs, wx):
@@ -765,14 +755,6 @@ def simulate_averaged(
                 sum_p += weight * float(rho_b[node].trace().real)
         return float(sum_f / sum_p), float(sum_p)
     raise ValueError(f"unknown averaging method {method!r}")
-
-
-def _positive_count(name: str, value) -> int:
-    """``value`` as a Python int of at least 1, checked by ``_integer``."""
-    count = _integer(name, value)
-    if count < 1:
-        raise ValueError(f"{name} {count} must be at least 1")
-    return count
 
 
 @dataclass(frozen=True)
@@ -868,10 +850,11 @@ def mc_averaged(
         - (mean_f - fbar * mean_p) ** 2,
         0.0,
     )
+    # the sums are numpy floats; float() keeps their bits
     return MCResult(
-        avg_fidelity=fbar,
-        avg_probability=mean_p,
-        stderr_fidelity=math.sqrt(var_resid / n_samples) / mean_p,
+        avg_fidelity=float(fbar),
+        avg_probability=float(mean_p),
+        stderr_fidelity=float(math.sqrt(var_resid / n_samples) / mean_p),
         stderr_probability=math.sqrt(var_p / n_samples),
         n_samples=n_samples,
     )

@@ -2,30 +2,10 @@
 
 Every claim pits a closed-form statement against an independently computed
 numerical route (or a second, structurally different simulation) and
-records the worst residual seen.  run_verification returns the full list
-of ClaimResult records in a fixed order; randomized claims draw from a
-single seeded generator so identical seeds reproduce identical records.
-The dense splitter-angle grids of the optimization claims evaluate the
-closed form through averaged_fidelity_curve, which equals the per-angle
-averaged_fidelity_probability bit for bit without building a parameter
-object or a report per angle; the optimal-angle claim checks its grid and
-computes its angle terms once for all 24 (N, m, eta).  The sampled
-cross-checks pay their fixed costs once per stack, not once per sample:
-the quadrature claim sends all of a tuple's nodes through Bob's pipeline
-as one stack, each node validated as bob_state validates its result; the
-witness claim draws its 1,000 random pairs in slices of 128, with the
-generator calls of a per-pair loop, and reduces each slice from its W
-amplitudes and reads it out as one stack, each pair validated and checked
-against the closed form as reduced_pair does, before the next slice is
-drawn; the detector claims reuse a readout splitter and count vectors
-built once per space; the resource claims build one W state per N; the
-Monte Carlo claim draws, evaluates and sums its samples in leaves of at
-most 4,096 along numpy's pairwise-sum tree, all in one leaf-sized
-workspace, so that no array spans a chunk; and the rejected-event claim
-runs its angle grid in blocks of 32 with each block's splitters built as
-one stack, not cached per angle.  No claim holds an object that spans
-all of its items at once, and every stacked or cached route equals the
-per-sample one bit for bit.
+records the worst residual seen against its tolerance, a field of
+``config.TOL`` unless the claim says otherwise.  run_verification returns
+the ClaimResult records in a fixed order; randomized claims draw from a
+single generator seeded by ``seed``, so equal seeds give equal records.
 
 A caller-supplied tolerance replaces every claim's own default.  That is
 deliberately blunt: at extreme settings such as 1e-15 the genuinely tight
@@ -48,6 +28,7 @@ from .circuits import (
     generate_w,
     symmetric_angles,
 )
+from .config import TOL
 from .detection import (
     DetectorModel,
     lossy_moments,
@@ -189,7 +170,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "symmetric-coefficients",
         "symmetric angles produce uniform coefficients 1/sqrt(N) for N=2..8",
         res,
-        1e-12,
+        TOL.exact_match,
     )
 
     res = 0.0
@@ -212,7 +193,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "chain-product-formula",
         "splitter-chain amplitudes match the analytic product of sines and cosines",
         res,
-        1e-12,
+        TOL.exact_match,
     )
 
     res = 0.0
@@ -225,7 +206,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "coefficient-round-trip",
         "angles_from_coefficients inverts coefficients_from_angles on 1000 random targets",
         res,
-        1e-10,
+        TOL.closed_form,
     )
 
     # -- pairwise witness ------------------------------------------------
@@ -235,13 +216,13 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "witness-closed-vs-simulated",
         "simulated witness ratio matches the closed form on 1000 random pairs",
         res,
-        1e-10,
+        TOL.closed_form,
     )
     check(
         "witness-universal-violation",
         "every random pair with nonzero coefficients violates the witness (ratio < 1)",
         max(0.0, worst_ratio - 1.0),
-        0.0,
+        0.0,  # strict: any ratio at or above 1 is a failed witness
     )
 
     det1 = DetectorModel(1.0)
@@ -262,7 +243,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "symmetric-trio-ratio",
         "symmetric three-party state at unit efficiency gives ratio 11/15 on every pair",
         res,
-        1e-12,
+        TOL.exact_match,
     )
 
     space2 = FockSpace(2)
@@ -279,7 +260,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "thinning-vs-ancilla-loss",
         "moment transform for lossy detection equals the beam-splitter ancilla model",
         res,
-        1e-10,
+        TOL.closed_form,
     )
 
     res = 0.0
@@ -298,7 +279,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "detector-backend-agreement",
         "number-resolving and on-off detection statistics agree on single-photon pairs",
         res,
-        1e-12,
+        TOL.exact_match,
     )
 
     # -- conditional resource and single-event teleportation -------------
@@ -320,7 +301,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "resource-closed-form",
         "conditioned pair equals the Bell-plus-vacuum mixture for N=2..8, all m, four efficiencies",
         res,
-        1e-12,
+        TOL.exact_match,
     )
 
     res_state = 0.0
@@ -340,13 +321,13 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "bob-state-closed-form",
         "simulated conditional state matches the closed form on 40 random settings",
         res_state,
-        1e-11,
+        TOL.state_match,
     )
     check(
         "event-probability",
         "simulated event probability matches the closed form on the same settings",
         res_prob,
-        1e-11,
+        TOL.state_match,
     )
 
     # -- Bloch-averaged fidelity and probability -------------------------
@@ -361,7 +342,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "averaged-closed-vs-moments",
         "closed-form averaged fidelity and probability match the exact simulated average on 200 random tuples",
         res,
-        1e-8,
+        TOL.protocol_match,
     )
 
     res = 0.0
@@ -373,7 +354,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "averaged-quadrature",
         "quadrature over the Bloch sphere reproduces the closed forms on 6 tuples",
         res,
-        1e-8,
+        TOL.protocol_match,
     )
 
     params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
@@ -387,7 +368,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "averaged-monte-carlo",
         "one-million-sample Monte Carlo average sits within 5 standard errors of the closed form (residual in sigma units)",
         res,
-        5.0,
+        5.0,  # in standard errors, not absolute: a statistical bound
     )
 
     # -- optimization -----------------------------------------------------
@@ -433,13 +414,13 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "optimal-angle",
         "closed-form optimal splitter angle matches numerical maximization on a 24-point grid",
         res_angle,
-        1e-8,
+        TOL.protocol_match,
     )
     check(
         "max-fidelity-closed-form",
         "closed-form maximal fidelity and its probability match the numerical optimum",
         res_value,
-        1e-8,
+        TOL.protocol_match,
     )
 
     res = 0.0
@@ -461,7 +442,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "critical-eta-constants",
         "closed-form critical efficiencies reproduce the analytic family values for N=3..12",
         res,
-        1e-12,
+        TOL.exact_match,
     )
 
     res = 0.0
@@ -472,7 +453,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "critical-eta-bisection",
         "bisection on the optimized fidelity reproduces the closed-form critical efficiency",
         res,
-        1e-9,
+        TOL.bound_slack,
     )
 
     res = 0.0
@@ -487,7 +468,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "onoff-maximum-grid",
         "golden-section optimum for on-off detectors is no worse than a 10^4-point grid",
         res,
-        1e-8,
+        TOL.protocol_match,
     )
 
     res = max(
@@ -497,7 +478,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "onoff-critical-values",
         "on-off critical efficiencies reproduce the published three-party values",
         res,
-        5e-3,
+        5e-3,  # the published values carry three decimals
     )
 
     params = TeleportParams(2, 0, 1.0, math.pi / 4.0, "number", "both")
@@ -513,7 +494,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "ideal-pair-teleportation",
         "two parties, unit efficiency, both events at theta=pi/4 teleport perfectly with probability 1/2",
         res,
-        1e-12,
+        TOL.exact_match,
     )
 
     res = 0.0
@@ -524,7 +505,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "rejected-events-bound",
         "no rejected detection event beats the classical fidelity 2/3 under any angle or phase correction",
         max(0.0, res),
-        1e-9,
+        TOL.bound_slack,
     )
 
     violation = 0.0
@@ -552,7 +533,7 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         "orderings",
         "cooperation helps strictly, combined events never beat the better single event, on-off never beats number-resolving, critical efficiency grows with network size",
         max(0.0, violation),
-        0.0,
+        0.0,  # strict: every ordering must hold outright
     )
 
     return results

@@ -205,6 +205,10 @@ class TestVerify:
         assert "error:" in err
 
 
+def _battery_must_not_run(**kwargs):
+    raise AssertionError("the battery ran")
+
+
 class TestOutputPlumbing:
     def test_csv_lines_are_crlf_terminated(self, capsys):
         _, out, _ = run(capsys, ["wstate", "--symmetric", "2"])
@@ -252,25 +256,29 @@ class TestOutputPlumbing:
         ids=["wstate", "witness-scan", "verify"],
     )
     def test_jobs_below_one_rejected_before_any_work(self, capsys, monkeypatch, argv):
-        def battery(**kwargs):
-            raise AssertionError("the battery ran")
-
-        monkeypatch.setattr("wsim.cli.run_verification", battery)
+        monkeypatch.setattr("wsim.cli.run_verification", _battery_must_not_run)
         assert run(capsys, argv) == (2, "", "error: --jobs must be at least 1\n")
 
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     @pytest.mark.parametrize(
         "argv", [["wstate", "--symmetric", "3"], ["verify", "--seed", "1"]], ids=["wstate", "verify"]
     )
-    def test_unwritable_output_is_a_usage_error(
-        self, capsys, monkeypatch, tmp_path, verification, argv, target
-    ):
-        monkeypatch.setattr("wsim.cli.run_verification", verification)
+    def test_unwritable_output_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv, target):
+        # the output is opened before any work, so the battery never starts
+        monkeypatch.setattr("wsim.cli.run_verification", _battery_must_not_run)
         path = tmp_path / "missing" / "rows.csv" if target == "missing-directory" else tmp_path
         code, out, err = run(capsys, argv + ["--output", str(path)])
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --output: ")
         assert err.count("\n") == 1
+
+    def test_later_usage_error_leaves_an_empty_output(self, capsys, tmp_path):
+        # the file is opened before the command runs, as `>` would open it
+        target = tmp_path / "rows.csv"
+        code, out, err = run(capsys, ["teleport", "--N", "3", "--output", str(target)])
+        assert (code, out) == (2, "")
+        assert err == "error: provide --theta, or use --optimize / --critical-eta\n"
+        assert target.read_text() == ""
 
 
 class _RecordingPool:

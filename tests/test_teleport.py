@@ -286,6 +286,17 @@ class TestAveraging:
         assert got == mc_averaged(params, n_samples=100, chunks=3)
         assert type(got.n_samples) is int
 
+    def test_monte_carlo_fields_are_python_floats(self):
+        got = mc_averaged(TeleportParams(4, 1, 0.8, 0.9, event_set="both"), n_samples=5_000)
+        # np.float64 is a float subclass, so compare the exact types
+        assert {name: type(value) for name, value in vars(got).items()} == {
+            "avg_fidelity": float,
+            "avg_probability": float,
+            "stderr_fidelity": float,
+            "stderr_probability": float,
+            "n_samples": int,
+        }
+
     def test_monte_carlo_determinism_and_coverage(self):
         params = TeleportParams(4, 1, 0.8, 0.9, event_set="both")
         a = mc_averaged(params, n_samples=20_000, seed=7)

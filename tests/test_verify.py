@@ -1,11 +1,12 @@
 """The self-check battery: claim bookkeeping and reproducibility."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wsim import DetectorModel, run_verification, verify
+from wsim import TOL, DetectorModel, run_verification, verify
 from wsim.witness import _witness_states, witness_ratio_closed_form
 
 
@@ -18,6 +19,71 @@ def test_all_claims_pass_at_default_tolerances(verification):
         assert r.passed, f"{r.claim_id}: residual {r.residual} > {r.tolerance}"
         assert r.passed == (r.residual <= r.tolerance)
         assert r.description
+
+
+# Every tolerance as it stands.  A change may tighten one of them, never
+# loosen it; a new TOL field or claim is pinned here when it is added.
+PINNED_TOL = {
+    "hermiticity": 1e-12,
+    "positivity": 1e-10,
+    "trace": 1e-12,
+    "norm": 1e-12,
+    "unitarity": 1e-12,
+    "support": 1e-12,
+    "povm": 1e-12,
+    "violation": 1e-12,
+    "closed_form": 1e-10,
+    "exact_match": 1e-12,
+    "state_match": 1e-11,
+    "protocol_match": 1e-8,
+    "average_match": 1e-6,
+    "bound_slack": 1e-9,
+    "golden_section": 1e-10,
+    "bisection": 1e-10,
+    "bisection_onoff": 1e-9,
+}
+PINNED_CLAIM_TOLERANCES = {
+    "symmetric-coefficients": 1e-12,
+    "chain-product-formula": 1e-12,
+    "coefficient-round-trip": 1e-10,
+    "witness-closed-vs-simulated": 1e-10,
+    "witness-universal-violation": 0.0,
+    "symmetric-trio-ratio": 1e-12,
+    "thinning-vs-ancilla-loss": 1e-10,
+    "detector-backend-agreement": 1e-12,
+    "resource-closed-form": 1e-12,
+    "bob-state-closed-form": 1e-11,
+    "event-probability": 1e-11,
+    "averaged-closed-vs-moments": 1e-8,
+    "averaged-quadrature": 1e-8,
+    "averaged-monte-carlo": 5.0,
+    "optimal-angle": 1e-8,
+    "max-fidelity-closed-form": 1e-8,
+    "critical-eta-constants": 1e-12,
+    "critical-eta-bisection": 1e-9,
+    "onoff-maximum-grid": 1e-8,
+    "onoff-critical-values": 5e-3,
+    "ideal-pair-teleportation": 1e-12,
+    "rejected-events-bound": 1e-9,
+    "orderings": 0.0,
+}
+
+
+def test_tol_fields_never_looser():
+    fields = dataclasses.asdict(TOL)
+    assert fields.keys() == PINNED_TOL.keys()
+    assert {k: v for k, v in fields.items() if not v <= PINNED_TOL[k]} == {}
+
+
+def test_claim_tolerances_never_looser(verification):
+    results = verification(seed=1)
+    assert [r.claim_id for r in results] == list(PINNED_CLAIM_TOLERANCES)
+    loosened = {
+        r.claim_id: r.tolerance
+        for r in results
+        if not r.tolerance <= PINNED_CLAIM_TOLERANCES[r.claim_id]
+    }
+    assert loosened == {}
 
 
 def test_tolerance_override_replaces_defaults(verification):
