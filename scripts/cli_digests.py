@@ -14,8 +14,10 @@ The commands are the three benchmark workloads (benchmarks/run.py) at seeds
 chain with phases, a zero splitter angle and larger N, two witness scans
 (one over the 2,016 pairs of a 64-mode state, and one with a vacuum pair,
 its note row, and pairs whose coefficient product is zero), heralded
-resources at N = 1,024 for four cooperation counts, and two lines at
-scale: the 2,048-mode symmetric W state and the resource at N = 4,096.
+resources at N = 1,024 for four cooperation counts, two lines at scale
+(the 2,048-mode symmetric W state and the resource at N = 4,096), a
+36-row sweep whose simulated rows cross a block boundary, and an
+optimized grid run with two worker processes.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ EXAMPLES = [
     "teleport --N 1024 --m 0,1,512,1022 --eta 0.9,0.3 --theta 0.7",
     "wstate --symmetric 2048",
     "teleport --N 4096 --m 0,2048 --eta 0.9 --theta 0.7",
+    "teleport --N 3,5,9 --m 0,1 --eta 0.35,0.9 --theta 0.2,0.7,1.1 --detector onoff --events both",
+    "teleport --N 3,4,5 --optimize --events both --jobs 2",
 ]
 
 

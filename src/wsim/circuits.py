@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .fock import FockSpace, PureState, _check_norm_sq, _check_two_mode_unitary, _integer
+from .fock import FockSpace, PureState, _check_norm_sq, _check_two_mode_unitaries, _integer
 
 
 @dataclass(frozen=True)
@@ -172,20 +172,35 @@ def generate_w(angles: SplitterAngles) -> PureState:
 
 
 def _chain_amplitudes(angles: SplitterAngles) -> list:
-    """generate_w's amplitudes in mode order, unvalidated.
+    """generate_w's amplitudes in mode order, unvalidated, as Python complex
+    numbers.
 
     The photon number is conserved, so the chain runs on the photon's N
     amplitudes, which transform by each splitter's matrix itself (fock's
     convention): splitter j mixes (v[j], v[j+1]), one Givens rotation of a
-    Reck triangle, and the phase shifters act next.
+    Reck triangle, and the phase shifters act next.  The N-1 splitters are
+    built as one (N-1, 2, 2) stack and checked for unitarity once; the
+    rotations then run on Python complex numbers, with the products and
+    sums of a numpy 2x2 per splitter in the same order, so every amplitude
+    keeps its bits.
     """
-    v = [1.0 + 0.0j] + [0j] * (angles.num_modes - 1)
-    for j, theta in enumerate(angles.thetas):
-        u = _check_two_mode_unitary(splitter(theta))
-        a, b = v[j], v[j + 1]
-        v[j] = u[0, 0] * a + u[0, 1] * b
-        v[j + 1] = u[1, 0] * a + u[1, 1] * b
-    return [a * np.exp(-1j * phi) for a, phi in zip(v, angles.phis)]
+    sines = np.array([math.sin(theta) for theta in angles.thetas])
+    cosines = np.array([math.cos(theta) for theta in angles.thetas])
+    # splitter(theta) for every angle, [[s, -c], [c, s]], as the complex
+    # matrices a per-splitter check would read
+    stack = np.stack([sines, -cosines, cosines, sines], axis=-1).reshape(-1, 2, 2).astype(complex)
+    _check_two_mode_unitaries(stack)
+    s, minus_c, c = (stack[:, row, col].tolist() for row, col in ((0, 0), (0, 1), (1, 0)))
+    # splitter j meets the photon's amplitude a at mode j and the untouched
+    # zero at mode j+1; it leaves s a - c 0 behind and forwards c a + s 0
+    amplitudes = []
+    a, zero = 1.0 + 0.0j, 0j
+    for s_j, minus_c_j, c_j in zip(s, minus_c, c):
+        amplitudes.append(s_j * a + minus_c_j * zero)
+        a = c_j * a + s_j * zero
+    amplitudes.append(a)
+    phases = np.exp(-1j * np.array(angles.phis)).tolist()
+    return [a * e for a, e in zip(amplitudes, phases)]
 
 
 def _mode_amplitudes(alphas) -> np.ndarray:

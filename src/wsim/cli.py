@@ -10,9 +10,12 @@ efficiencies; `verify` reruns the package's analytic cross-checks.
 All output is tabular, CSV (RFC 4180) or a single JSON object, written to
 stdout or --output.  Angles are radians, mode indices 0-based, floats are
 shortest round-trip representations.  Runs with equal arguments and seed
-produce byte-identical output regardless of --jobs.  Exit codes: 0 on
-success, 1 when `verify` finds a failing claim, 2 on usage or validation
-errors.  Column semantics are documented in docs/schema.md.
+produce byte-identical output regardless of --jobs, which hands each
+worker process whole blocks of 16 contiguous sweep or --optimize rows
+(their simulated residuals run as one block) or single --critical-eta
+rows.  Exit codes: 0 on success, 1 when `verify` finds a failing claim,
+2 on usage or validation errors.  Column semantics are documented in
+docs/schema.md.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from .circuits import (
 )
 from .detection import _DETECTOR_KINDS, DetectorModel
 from .teleport import (
+    _BLOCK,
     _EVENT_SETS,
     TeleportParams,
     TeleportReport,
+    _averaged_moments,
     averaged_fidelity_probability,
     critical_eta,
     max_fidelity,
-    simulate_averaged,
 )
 from .verify import run_verification
 from .witness import scan_all_pairs, witness_ratio_closed_form
@@ -206,36 +210,45 @@ _TELEPORT_HEADER = [
 ]
 
 
-def _report_row(row_type: str, report: TeleportReport) -> dict:
-    """A report's row, with the residual against the simulated moments."""
-    params = report.params
-    f_sim, p_sim = simulate_averaged(params, method="moments")
-    return {
-        "row_type": row_type,
-        "N": params.N,
-        "m": params.m,
-        "eta": params.eta,
-        "theta": params.theta,
-        "detector": params.detector_kind,
-        "events": params.event_set,
-        "avg_fidelity": report.avg_fidelity,
-        "avg_probability": report.avg_probability,
-        "R": report.R_theta,
-        "Rprime": report.Rprime_theta,
-        "residual": max(
-            abs(report.avg_fidelity - f_sim), abs(report.avg_probability - p_sim)
-        ),
-    }
+def _report_rows(row_type: str, reports: list[TeleportReport]) -> list[dict]:
+    """The reports' rows, with each residual against the simulated moments,
+    which run as one block."""
+    simulated = _averaged_moments([report.params for report in reports])
+    rows = []
+    for report, (f_sim, p_sim) in zip(reports, simulated):
+        params = report.params
+        rows.append(
+            {
+                "row_type": row_type,
+                "N": params.N,
+                "m": params.m,
+                "eta": params.eta,
+                "theta": params.theta,
+                "detector": params.detector_kind,
+                "events": params.event_set,
+                "avg_fidelity": report.avg_fidelity,
+                "avg_probability": report.avg_probability,
+                "R": report.R_theta,
+                "Rprime": report.Rprime_theta,
+                "residual": max(
+                    abs(report.avg_fidelity - f_sim), abs(report.avg_probability - p_sim)
+                ),
+            }
+        )
+    return rows
 
 
-def _sweep_row(task) -> dict:
-    return _report_row("sweep", averaged_fidelity_probability(TeleportParams(*task)))
+def _sweep_rows(block) -> list[dict]:
+    reports = [averaged_fidelity_probability(TeleportParams(*task)) for task in block]
+    return _report_rows("sweep", reports)
 
 
-def _optimize_row(task) -> dict:
-    n, m, eta, detector, events = task
-    report = max_fidelity(n, m, eta, detector_kind=detector, event_set=events)
-    return _report_row("optimal", report)
+def _optimize_rows(block) -> list[dict]:
+    reports = [
+        max_fidelity(n, m, eta, detector_kind=detector, event_set=events)
+        for n, m, eta, detector, events in block
+    ]
+    return _report_rows("optimal", reports)
 
 
 def _critical_row(task) -> dict:
@@ -249,8 +262,8 @@ def _critical_row(task) -> dict:
     }
 
 
-def _run_tasks(worker, tasks, jobs: int) -> list[dict]:
-    # never more workers than rows or CPUs, whatever --jobs asks for
+def _run_tasks(worker, tasks, jobs: int) -> list:
+    # never more workers than tasks or CPUs, whatever --jobs asks for
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(task) for task in tasks]
@@ -261,6 +274,13 @@ def _run_tasks(worker, tasks, jobs: int) -> list[dict]:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map preserves task order, so the output is schedule-independent
         return list(pool.map(worker, tasks))
+
+
+def _run_blocks(worker, tasks, jobs: int) -> list[dict]:
+    """The rows of ``worker`` over contiguous blocks of _BLOCK tasks, one
+    task per row, in task order; a worker process takes whole blocks."""
+    blocks = [tasks[start : start + _BLOCK] for start in range(0, len(tasks), _BLOCK)]
+    return [row for rows in _run_tasks(worker, blocks, jobs) for row in rows]
 
 
 def cmd_teleport(args, out) -> int:
@@ -284,7 +304,7 @@ def cmd_teleport(args, out) -> int:
             for m in ms_for(n)
             for eta in etas
         ]
-        rows = _run_tasks(_optimize_row, tasks, args.jobs)
+        rows = _run_blocks(_optimize_rows, tasks, args.jobs)
     else:
         if args.theta is None:
             raise ValueError("provide --theta, or use --optimize / --critical-eta")
@@ -296,7 +316,7 @@ def cmd_teleport(args, out) -> int:
             for eta in etas
             for theta in thetas
         ]
-        rows = _run_tasks(_sweep_row, tasks, args.jobs)
+        rows = _run_blocks(_sweep_rows, tasks, args.jobs)
     _emit(args, out, _TELEPORT_HEADER, rows)
     return 0
 

@@ -385,9 +385,15 @@ def _check_two_mode_unitary(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("mode-mixing matrix must be 2x2")
-    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= TOL.unitarity:
-        raise ValueError("mode-mixing matrix is not unitary within tolerance")
+    _check_two_mode_unitaries(u)
     return u
+
+
+def _check_two_mode_unitaries(us: np.ndarray) -> None:
+    """The unitarity check of _check_two_mode_unitary on every matrix of a
+    complex (..., 2, 2) stack, with its tolerance and message."""
+    if not np.max(np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(2))) <= TOL.unitarity:
+        raise ValueError("mode-mixing matrix is not unitary within tolerance")
 
 
 @lru_cache(maxsize=16)
@@ -585,11 +591,12 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out all modes not listed in ``keep``.
 
     ``keep`` is an ordered sequence of distinct mode indices; the result's
-    modes appear in that order (sets are sorted first).
+    modes appear in that order (sets are sorted first).  Each index must be
+    an integer (Python or numpy); ValueError otherwise.
     """
     if isinstance(keep, (set, frozenset)):
         keep = sorted(keep)
-    keep = tuple(int(m) for m in keep)
+    keep = tuple(_integer("mode", m) for m in keep)
     if not keep:
         raise ValueError("keep must name at least one mode")
     if len(set(keep)) != len(keep):
@@ -619,9 +626,9 @@ def apply_two_mode_unitary(state, modes: tuple[int, int], u):
     annihilation operators, so a single photon in mode i acquires amplitude
     u[l, i] on mode l.  Both kinds of state run through the same index plan
     and table: a pure state's amplitude vector by one scatter, a density by
-    the embedded matrix.
+    the embedded matrix.  The modes must be integers (Python or numpy).
     """
-    i, j = int(modes[0]), int(modes[1])
+    i, j = _integer("mode", modes[0]), _integer("mode", modes[1])
     if i == j:
         raise ValueError("modes must be distinct")
     u = _check_two_mode_unitary(u)
@@ -634,8 +641,9 @@ def apply_two_mode_unitary(state, modes: tuple[int, int], u):
 
 
 def apply_phase_shift(state, mode: int, phi: float):
-    """Phase shifter at one mode: |n> -> exp(-i phi n)|n>."""
-    mode = int(mode)
+    """Phase shifter at one mode: |n> -> exp(-i phi n)|n>.  The mode must
+    be an integer (Python or numpy)."""
+    mode = _integer("mode", mode)
     _check_state_modes(state, (mode,))
     if isinstance(state, PureState):
         out = np.exp(-1j * phi * _mode_counts(state.space, mode)) * state.to_vector()

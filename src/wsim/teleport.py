@@ -56,7 +56,7 @@ from .fock import (
     _integer,
     _phase_raw,
     _positive_count,
-    _ptrace_raw,
+    _ptrace_plan,
     _tensor_checked,
     _tensor_plan,
     _unitary_raw,
@@ -533,12 +533,19 @@ def bob_state_closed_form(
 
 @lru_cache(maxsize=1)
 def _operator_basis_maps() -> tuple[np.ndarray, ...]:
-    """(slot, row, col, resource row, resource col) placing the resource
-    into the joint space next to each qubit basis element |j><k|; taken
-    from the tensor plan of the qubit mode with the resource."""
+    """Flat indices of the moments route: (target, source) place the
+    resource into a (4, 10, 10) stack (slot 2j + k, row, col) next to each
+    qubit basis element |j><k|, taken from the tensor plan of the qubit
+    mode with the resource; (traced, kept) are the flat indices i*10 + j
+    and ki*3 + kj of each term out[ki, kj] += m[i, j] of the partial trace
+    onto Bob's mode, in the order of its plan."""
     _, (rows, cols, ia, ja, ib, jb) = _tensor_plan(_QUBIT_SPACE, _RESOURCE_SPACE)
     sel = (ia < 2) & (ja < 2)
-    return 2 * ia[sel] + ja[sel], rows[sel], cols[sel], ib[sel], jb[sel]
+    dim = _JOINT_SPACE.dim
+    target = ((2 * ia[sel] + ja[sel]) * dim + rows[sel]) * dim + cols[sel]
+    bob, (i, j, ki, kj) = _ptrace_plan(_JOINT_SPACE, (2,))
+    source = ib[sel] * _RESOURCE_SPACE.dim + jb[sel]
+    return _frozen(target, source, i * dim + j, ki * bob.dim + kj)
 
 
 @lru_cache(maxsize=4096)
@@ -550,54 +557,138 @@ def _bell_unitary(theta: float) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _event_weight_sqrt(event: BellEvent, eta: float, kind: str) -> np.ndarray:
+    """The square roots of the event's POVM weights on the joint space, at
+    the row i and at the column j of each term m[i, j] of the partial trace
+    onto Bob's mode: a read-only (2, T) complex array.  Complex, as the
+    products with the complex entries would cast them anyway."""
+    _, (i, j, _, _) = _ptrace_plan(_JOINT_SPACE, (2,))
     w = np.sqrt(_povm_weights(_JOINT_SPACE, _event_assignments(event, eta, kind)))
-    w.setflags(write=False)
-    return w
+    (pair,) = _frozen(np.array([w[i], w[j]], dtype=complex))
+    return pair
 
 
-def _transported(params: TeleportParams, thetas=None) -> np.ndarray:
-    """The four operator-basis inputs pushed through tensor + splitter, as a
-    (4, 10, 10) stack at params.theta, or (len(thetas), 4, 10, 10) with one
-    leading entry per splitter angle in ``thetas``.  The splitter at
-    params.theta comes from _bell_unitary's cache.  A grid's splitters are
-    built uncached, since a grid angle is used once, and as one stack by
-    _embedded_real_unitaries: each equals _embedded_unitary at its angle
-    bit for bit."""
-    resource = conditional_resource(params).matrix
-    slot, rows, cols, r_rows, r_cols = _operator_basis_maps()
-    dim = _JOINT_SPACE.dim
-    t = np.zeros((4, dim, dim), dtype=complex)
-    t[slot, rows, cols] = resource[r_rows, r_cols]
-    if thetas is None:
-        u = _bell_unitary(params.theta)
-    else:
-        splitters = np.stack([bell_splitter(float(theta)) for theta in thetas])
-        u = _embedded_real_unitaries(_JOINT_SPACE, (0, 1), splitters)[:, None]
-    return u @ t @ u.conj().swapaxes(-1, -2)
+# rows per block of the moments route: a block's (B, 4, 10, 10) complex
+# stacks take 100 KiB, under glibc's 128 KiB mmap threshold, so they reuse
+# heap memory
+_BLOCK = 16
 
 
-def _condition_kernels(mats: np.ndarray, params: TeleportParams, event: BellEvent) -> np.ndarray:
-    """Condition a stack from _transported on the event and trace out
-    Alice's modes: the matching stack of 3x3 kernels on Bob's mode, after
-    Bob's pi correction when the event is D01."""
-    sqw = _event_weight_sqrt(event, params.eta, params.detector_kind)
-    weighted = sqw[:, None] * mats * sqw[None, :]
-    _, k = _ptrace_raw(_JOINT_SPACE, weighted, (2,))
-    if event is BellEvent.D01:
-        k[..., 1, :] *= -1.0
-        k[..., :, 1] *= -1.0
+def _transported(resources: np.ndarray, splitters: np.ndarray) -> np.ndarray:
+    """The four operator-basis inputs pushed through tensor + splitter, for
+    a block of B rows, as the (B, 4, T) entries m[i, j] of each 10x10
+    result m that the partial trace onto Bob's mode reads, one per term of
+    its plan.
+
+    ``resources`` is a (B, 6, 6) stack of conditional resources, or a (1,
+    6, 6) one that every row shares (a grid of angles); ``splitters`` is
+    the (B, 10, 10) stack of Bell splitters embedded in the joint space.
+    Each m is u @ t @ u^H, bit for bit the per-row route's."""
+    target, source, traced, _ = _operator_basis_maps()
+    count, dim = len(splitters), _JOINT_SPACE.dim
+    t = np.zeros((count, 4 * dim * dim), dtype=complex)
+    t[:, target] = resources.reshape(len(resources), -1).take(source, axis=1)
+    t = t.reshape(count, 4, dim, dim)
+    u = splitters[:, None]
+    # the product overwrites t, which is read no more
+    mats = np.matmul(u @ t, u.conj().swapaxes(-1, -2), out=t)
+    return mats.reshape(count, 4, -1).take(traced, axis=2)
+
+
+@lru_cache(maxsize=64)
+def _trace_index(count: int) -> np.ndarray:
+    """The add.at index of _condition_kernels: for ``count`` 3x3 kernels
+    stored one after another in a flat array, the entry ki*3 + kj of its
+    kernel that each term of the partial trace onto Bob's mode adds to,
+    kernel by kernel in the plan's order.  A one-dimensional index, so that
+    numpy runs add.at on its fast path."""
+    kept = _operator_basis_maps()[3]
+    (index,) = _frozen((9 * np.arange(count)[:, None] + kept).ravel())
+    return index
+
+
+def _condition_kernels(entries: np.ndarray, sqw: np.ndarray, d01: int) -> np.ndarray:
+    """Condition transported inputs on detection events and trace out
+    Alice's modes: for the (..., 4, T) entries of _transported, the
+    (..., 4, 3, 3) kernels on Bob's mode.  ``sqw`` holds each event's
+    weights from _event_weight_sqrt, a (..., 2, T) array whose leading axes
+    broadcast against those of ``entries``.  From index ``d01`` on along the
+    first axis the kernels are the D01 event's, and get Bob's pi
+    correction.
+
+    Each term m[i, j] of the trace is weighted as sqw[i] * m[i, j] * sqw[j]
+    and added in the plan's order, elementwise, so each kernel is bit for
+    bit the per-row route's."""
+    weighted = sqw[..., None, 0, :] * entries
+    weighted *= sqw[..., None, 1, :]
+    count = weighted.size // weighted.shape[-1]
+    k = np.zeros(count * 9, dtype=complex)
+    np.add.at(k, _trace_index(count), weighted.ravel())
+    k = k.reshape(weighted.shape[:-1] + (3, 3))
+    if d01 < len(k):
+        k[d01:, ..., 1, :] *= -1.0
+        k[d01:, ..., :, 1] *= -1.0
     return k
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """np.array(arrays), or a view of the one array when there is one: a
+    one-row block copies nothing."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
+    """The kernels of a block of at most _BLOCK rows, one for each row and
+    event of its event set: the rows' indices, and the kernels as a (K, 4,
+    3, 3) stack, all D10 kernels first and then all D01 kernels, so that
+    each row meets its events in order.  Each row has its own resource
+    (from conditional_resource), splitter angle (_bell_unitary's cache),
+    efficiency, detector kind and event set."""
+    entries = _transported(
+        _stacked([conditional_resource(p).matrix for p in rows]),
+        _stacked([_bell_unitary(p.theta) for p in rows]),
+    )
+    index, sqw = [], []
+    for event in (BellEvent.D10, BellEvent.D01):
+        d01 = len(index)
+        for b, p in enumerate(rows):
+            if event in p.events:
+                index.append(b)
+                sqw.append(_event_weight_sqrt(event, p.eta, p.detector_kind))
+    # with one event per row, in row order, the entries need no copy
+    if index != list(range(len(rows))):
+        entries = entries[index]
+    return index, _condition_kernels(entries, _stacked(sqw), d01)
 
 
 # Bloch moments of the amplitude monomials appearing in the fidelity:
 # <|a|^4> = <|b|^4> = 1/3 and <|a|^2 |b|^2> = 1/6 (|a|^2 is uniform on [0, 1]).
-def _event_integrals(kernels: np.ndarray) -> tuple[float, float]:
-    k00, k01, k10, k11 = kernels
-    int_f = (k11[1, 1] + k00[0, 0]) / 3.0 + (
-        k11[0, 0] + k00[1, 1] + k10[1, 0] + k01[0, 1]
+def _event_integrals(kernels: np.ndarray) -> tuple[list[float], list[float]]:
+    """Bloch-averaged unnormalized fidelity and probability of each event's
+    kernels in a (K, 4, 3, 3) stack, as two lists of K floats."""
+    # kernels[:, 2j + k] is the kernel of |j><k|
+    int_f = (kernels[:, 3, 1, 1] + kernels[:, 0, 0, 0]) / 3.0 + (
+        kernels[:, 3, 0, 0] + kernels[:, 0, 1, 1] + kernels[:, 2, 1, 0] + kernels[:, 1, 0, 1]
     ) / 6.0
-    int_p = (np.trace(k11) + np.trace(k00)) / 2.0
-    return float(int_f.real), float(int_p.real)
+    traces = kernels.trace(axis1=2, axis2=3)
+    int_p = (traces[:, 3] + traces[:, 0]) / 2.0
+    return int_f.real.tolist(), int_p.real.tolist()
+
+
+def _averaged_moments(rows) -> list[tuple[float, float]]:
+    """simulate_averaged(p, "moments") of every TeleportParams p in
+    ``rows``, computed in blocks of _BLOCK rows; each pair is bit for bit
+    the one-row call's.  A row's event integrals add onto 0.0 in event
+    order."""
+    out = []
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start : start + _BLOCK]
+        index, kernels = _block_kernels(block)
+        sum_f, sum_p = [0.0] * len(block), [0.0] * len(block)
+        for b, int_f, int_p in zip(index, *_event_integrals(kernels)):
+            sum_f[b] += int_f
+            sum_p[b] += int_p
+        out += [(f / p, p) for f, p in zip(sum_f, sum_p)]
+    return out
 
 
 class _LeafWork:
@@ -729,20 +820,17 @@ def simulate_averaged(
     """Bloch-averaged (fidelity, probability) of the simulated pipeline.
 
     method "moments" runs the pipeline on the qubit operator basis and
-    contracts with exact Bloch moments; "quadrature" runs the full
-    simulation of bob_state at every quadrature node, all nodes of an
-    event as one stack through _bob_states, so that each node is checked
-    as a bob_state call would check it.  The two routes share no averaging
-    code and must agree to rounding.
+    contracts with exact Bloch moments; it is the one-row call of the
+    block route (_averaged_moments), which the CLI and verify run on
+    blocks of up to 16 parameter tuples, each with its own resource,
+    angle, efficiency, detector kind and event set.  "quadrature" runs
+    the full simulation of bob_state at every quadrature node, all nodes
+    of an event as one stack through _bob_states, so that each node is
+    checked as a bob_state call would check it.  The two routes share no
+    averaging code and must agree to rounding.
     """
     if method == "moments":
-        mats = _transported(params)
-        sum_f = sum_p = 0.0
-        for event in params.events:
-            int_f, int_p = _event_integrals(_condition_kernels(mats, params, event))
-            sum_f += int_f
-            sum_p += int_p
-        return float(sum_f / sum_p), float(sum_p)
+        return _averaged_moments([params])[0]
     if method == "quadrature":
         nodes = _bloch_nodes(n_polar, n_azimuth)
         targets = [qubit.state().to_vector() for _, qubit in nodes]
@@ -801,8 +889,7 @@ def mc_averaged(
     """
     n_samples = _positive_count("n_samples", n_samples)
     chunks = _positive_count("chunks", chunks)
-    mats = _transported(params)
-    event_kernels = [_condition_kernels(mats, params, e) for e in params.events]
+    _, event_kernels = _block_kernels([params])
     sizes = [
         n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)
     ]
@@ -959,11 +1046,6 @@ def critical_eta_bisection(n: int, m: int) -> float:
     return bisect_root(gap, lo, 1.0, tol=TOL.bisection)
 
 
-# angles per block of nonadvantageous_bound: a block's (B, 4, 10, 10)
-# complex stacks stay under 1 MiB
-_ANGLE_BLOCK = 32
-
-
 def nonadvantageous_bound(
     n: int, m: int, eta: float, n_theta: int = 1000, n_phase: int = 64
 ) -> dict[BellEvent, float]:
@@ -972,9 +1054,10 @@ def nonadvantageous_bound(
     Sweeps the splitter angle on a grid and Bob's only available correction
     (a phase shift, sampled on {0, pi} plus a uniform grid) with
     number-resolving detectors.  Events with vanishing probability at a
-    grid point contribute nothing there.  The angles run in blocks of 32
-    (_ANGLE_BLOCK), and each block builds its splitters uncached, since a
-    grid angle is used once per call, and as one stack
+    grid point contribute nothing there.  The angles run in blocks of 16
+    (_BLOCK) through the moments route with one shared resource, all four
+    rejected events at once.  Each block builds its splitters uncached,
+    since a grid angle is used once per call, and as one stack
     (_embedded_real_unitaries, bit for bit the per-angle splitters):
     memory is bounded by one block's stacks, not by a cache of per-angle
     splitters.  n_theta and n_phase must be integers of at least 1 (an
@@ -988,22 +1071,30 @@ def nonadvantageous_bound(
     )
     rot = np.exp(-1j * phases)
     thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
-    best = {event: 0.0 for event in REJECTED}
-    for start in range(0, n_theta, _ANGLE_BLOCK):
-        mats = _transported(base, thetas[start : start + _ANGLE_BLOCK])
-        for event in REJECTED:
-            kernels = _condition_kernels(mats, base, event)
-            k00, k01, k10, k11 = np.moveaxis(kernels, 1, 0)
-            int_p = np.real(np.trace(k11, axis1=1, axis2=2) + np.trace(k00, axis1=1, axis2=2))
-            int_p = int_p / 2.0
-            # Bob's phase rotates only the two cross moments
-            static = np.real(
-                (k11[:, 1, 1] + k00[:, 0, 0]) / 3.0 + (k11[:, 0, 0] + k00[:, 1, 1]) / 6.0
-            )
-            swept = static[:, None] + np.real(
-                rot * k10[:, 1, 0, None] + np.conj(rot) * k01[:, 0, 1, None]
-            ) / 6.0
-            live = int_p >= 1e-14
-            reached = np.max(swept, axis=1)[live] / int_p[live]
-            best[event] = max(best[event], float(np.max(reached, initial=0.0)))
-    return best
+    resource = conditional_resource(base).matrix[None]
+    # the rejected events' weights, one row per event
+    sqw = np.array([_event_weight_sqrt(event, base.eta, base.detector_kind) for event in REJECTED])
+    best = np.zeros(len(REJECTED))
+    for start in range(0, n_theta, _BLOCK):
+        block = thetas[start : start + _BLOCK].tolist()
+        splitters = _embedded_real_unitaries(
+            _JOINT_SPACE, (0, 1), np.stack([bell_splitter(theta) for theta in block])
+        )
+        entries = _transported(resource, splitters)
+        # kernels[angle, event, slot]; no rejected event gets the D01
+        # correction, so it starts past the last angle
+        kernels = _condition_kernels(entries[:, None], sqw, len(entries))
+        k00, k01, k10, k11 = np.moveaxis(kernels, 2, 0)
+        int_p = np.real(np.trace(k11, axis1=-2, axis2=-1) + np.trace(k00, axis1=-2, axis2=-1))
+        int_p = int_p / 2.0
+        # Bob's phase rotates only the two cross moments
+        static = np.real(
+            (k11[..., 1, 1] + k00[..., 0, 0]) / 3.0 + (k11[..., 0, 0] + k00[..., 1, 1]) / 6.0
+        )
+        swept = static[..., None] + np.real(
+            rot * k10[..., 1, 0, None] + np.conj(rot) * k01[..., 0, 1, None]
+        ) / 6.0
+        reached = np.zeros(int_p.shape)
+        np.divide(np.max(swept, axis=-1), int_p, out=reached, where=int_p >= 1e-14)
+        best = np.maximum(best, np.max(reached, axis=0))
+    return dict(zip(REJECTED, best.tolist()))

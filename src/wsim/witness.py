@@ -22,7 +22,7 @@ import numpy as np
 from .circuits import _as_coefficients, _mode_amplitudes
 from .config import TOL
 from .detection import DetectorModel, _lossy_moment_stack
-from .fock import DensityOperator, FockSpace, _check_density_stack, _photon_numbers
+from .fock import DensityOperator, FockSpace, _check_density_stack, _integer, _photon_numbers
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ def reduced_pair(w, i: int, j: int) -> DensityOperator:
     p|Psi><Psi| + (1-p)|00><00| with |Psi> = (alpha_i|10> + alpha_j|01>)/sqrt(p);
     the two must agree to rounding, and a disagreement raises RuntimeError.
     Errors with ValueError when both coefficients vanish (the reduction is
-    vacuum and the witness is vacuous).
+    vacuum and the witness is vacuous), and when i or j is not an integer
+    (Python or numpy) naming two distinct modes.
     """
     (pair,) = _reduce_states([(_as_coefficients(w), i, j)])
     return DensityOperator(_PAIR_SPACE, pair, normalized=True)
@@ -98,7 +99,7 @@ def _reduce_states(items) -> np.ndarray:
     first, second, amps, weight = [], [], [], []
     for k, (w, i, j) in enumerate(items):
         n = len(w.alphas)
-        i, j = int(i), int(j)
+        i, j = _integer("i", i), _integer("j", j)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError("pair indices must be distinct and in range")
         p = abs(w.alphas[i]) ** 2 + abs(w.alphas[j]) ** 2

@@ -344,8 +344,31 @@ class TestJobsByteIdentity:
             assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        # 24 sweep rows and 28 optimized rows: a full block and a partial one
+        (
+            ["teleport", "--N", "3,4,5", "--m", "0,1", "--eta", "0.4,0.9", "--theta", "0.3,1.1"]
+            + ["--detector", "onoff", "--events", "both"],
+            24,
+        ),
+        (["teleport", "--N", "3,4,5,6", "--eta", "0.5,0.9", "--optimize", "--events", "both"], 28),
+    ],
+    ids=["sweep", "optimize"],
+)
+def test_jobs_byte_identity_across_blocks(argv, count):
+    code1, out1 = run_captured(argv + ["--jobs", "1"])
+    code2, out2 = run_captured(argv + ["--jobs", "2"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert len(parse_csv(out1)[1]) == count
+
+
 class TestJobsCap:
-    ARGV = ["teleport", "--N", "3", "--m", "0,1", "--theta", "0.4", "--jobs", "64"]
+    # 18 sweep rows: two blocks of rows, the tasks a worker takes
+    THETAS = ",".join(str(0.1 * k) for k in range(1, 10))
+    ARGV = ["teleport", "--N", "3", "--m", "0,1", "--theta", THETAS, "--jobs", "64"]
 
     @pytest.fixture
     def pool(self, monkeypatch):
@@ -359,14 +382,14 @@ class TestJobsCap:
         code, out, _ = run(capsys, self.ARGV)
         assert code == 0
         assert pool.sizes == [2]
-        assert len(parse_csv(out)[1]) == 2
+        assert len(parse_csv(out)[1]) == 18
 
     def test_capped_at_cpu_count(self, capsys, monkeypatch, pool):
         monkeypatch.setattr("wsim.cli.os.cpu_count", lambda: 1)
         code, out, _ = run(capsys, self.ARGV)
         assert code == 0
         assert pool.sizes == []  # one worker runs in-process
-        assert len(parse_csv(out)[1]) == 2
+        assert len(parse_csv(out)[1]) == 18
 
     def test_unknown_cpu_count_runs_in_process(self, capsys, monkeypatch, pool):
         monkeypatch.setattr("wsim.cli.os.cpu_count", lambda: None)

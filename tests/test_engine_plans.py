@@ -32,9 +32,12 @@ from wsim import (
     generate_w,
     nonadvantageous_bound,
     splitter,
+    symmetric_angles,
 )
-from wsim import fock, teleport
+from wsim import circuits, fock, teleport
 from wsim.config import TOL
+
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +420,76 @@ class TestChainOnAmplitudes:
             assert_same_bits(np.complex128(got.amplitudes[occ]), np.complex128(amp))
 
 
+def amplitude_reprs(amplitudes):
+    """Each amplitude by the repr of its Python complex: equal reprs are
+    equal bits, signed zeros included."""
+    return [repr(complex(a)) for a in amplitudes]
+
+
+class TestChainChecksOnce:
+    """_chain_amplitudes builds the splitter stack, checks it once and runs
+    the rotations on Python complex numbers; the per-splitter chain, each
+    splitter a checked numpy 2x2, is the oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64, 4096])
+    def test_symmetric_chain_equals_per_splitter_chain(self, n):
+        angles = symmetric_angles(n)
+        got = amplitude_reprs(circuits._chain_amplitudes(angles))
+        assert got == amplitude_reprs(oracles.chain_amplitudes(angles))
+
+    @settings(max_examples=150, deadline=None)
+    @given(angles=chain_angles())
+    @example(angles=SplitterAngles((math.pi / 2 + 1e-12, 0.3, 0.0), (0.0, -0.0, math.pi, -2.0)))
+    def test_random_chain_equals_per_splitter_chain(self, angles):
+        got = amplitude_reprs(circuits._chain_amplitudes(angles))
+        assert got == amplitude_reprs(oracles.chain_amplitudes(angles))
+
+    def test_one_bad_splitter_fails_the_stack_check(self):
+        stack = np.stack([splitter(0.3), splitter(1.1), splitter(0.7)]).astype(complex)
+        fock._check_two_mode_unitaries(stack)
+        stack[1, 0, 0] *= 1.0 + 1e-6
+        message = "^mode-mixing matrix is not unitary within tolerance$"
+        with pytest.raises(ValueError, match=message):
+            fock._check_two_mode_unitary(stack[1])
+        with pytest.raises(ValueError, match=message):
+            fock._check_two_mode_unitaries(stack)
+
+    def test_chain_checks_every_splitter_once(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(circuits, "_check_two_mode_unitaries", checked.append)
+        angles = SplitterAngles((0.3, 0.0, math.pi / 2))
+        circuits._chain_amplitudes(angles)
+        (stack,) = checked
+        expected = np.stack([splitter(theta) for theta in angles.thetas]).astype(complex)
+        assert_same_bits(stack, expected)
+
+
+# the flat entries i*10 + j of the joint-space matrices that the partial
+# trace onto Bob's mode reads: _transported returns only these
+_, (_I, _J, _, _) = fock._ptrace_plan(FockSpace(3), (2,))
+TRACED = _I * 10 + _J
+
+
 class TestStackedKernels:
     def test_angle_stack_equals_single_angles(self):
+        # the grid form: one shared resource, the splitters built as one stack
         base = TeleportParams(5, 2, 0.6, 0.0)
         thetas = np.linspace(0.0, math.pi / 2.0, 7)
-        stack = teleport._transported(base, thetas)
-        assert stack.shape == (7, 4, 10, 10)
+        splitters = fock._embedded_real_unitaries(
+            teleport._JOINT_SPACE, (0, 1), np.stack([bell_splitter(theta) for theta in thetas])
+        )
+        stack = teleport._transported(teleport.conditional_resource(base).matrix[None], splitters)
+        assert stack.shape == (7, 4, len(TRACED))
         for t, theta in enumerate(thetas):
-            single = teleport._transported(dataclasses.replace(base, theta=float(theta)))
-            assert_same_bits(stack[t], single)
+            single = oracles.transported(dataclasses.replace(base, theta=float(theta)))
+            assert_same_bits(stack[t], single.reshape(4, -1)[:, TRACED])
 
     def test_stack_equals_two_dimensional_products(self):
         params = TeleportParams(4, 1, 0.8, 0.7, "onoff", "both")
-        u = teleport._bell_unitary(params.theta)
-        stack = teleport._transported(params)
+        u = oracles.bell_unitary(params.theta)
+        (stack,) = teleport._transported(
+            teleport.conditional_resource(params).matrix[None], u[None]
+        )
         for slot in range(4):
             j, k = divmod(slot, 2)
             qubit = np.zeros((3, 3), dtype=complex)
@@ -438,7 +497,7 @@ class TestStackedKernels:
             _, t = fock._tensor_raw(
                 FockSpace(1), qubit, teleport._RESOURCE_SPACE, teleport.conditional_resource(params).matrix
             )
-            assert_same_bits(stack[slot], u @ t @ u.conj().T)
+            assert_same_bits(stack[slot], (u @ t @ u.conj().T).reshape(-1)[TRACED])
 
     @pytest.mark.parametrize("size", [1, 32, 1000])
     def test_stacked_splitters_equal_per_angle(self, size):
@@ -498,9 +557,9 @@ class TestStackedKernels:
         best = {event: 0.0 for event in teleport.REJECTED}
         for theta in np.linspace(0.0, math.pi / 2.0, n_theta):
             params = dataclasses.replace(base, theta=float(theta))
-            mats = teleport._transported(params)
+            mats = oracles.transported(params)
             for event in teleport.REJECTED:
-                k00, k01, k10, k11 = teleport._condition_kernels(mats, params, event)
+                k00, k01, k10, k11 = oracles.condition_kernels(mats, params, event)
                 int_p = float(np.real(np.trace(k11) + np.trace(k00))) / 2.0
                 if int_p < 1e-14:
                     continue
@@ -509,15 +568,16 @@ class TestStackedKernels:
                 )
                 swept = static + np.real(rot * k10[1, 0] + np.conj(rot) * k01[0, 1]) / 6.0
                 best[event] = max(best[event], float(np.max(swept)) / int_p)
-        # one angle per block, the default blocks and the earlier 125-angle ones
-        for block in (1, 32, 125):
-            monkeypatch.setattr(teleport, "_ANGLE_BLOCK", block)
+        # one angle per block, the default blocks and the earlier 32- and
+        # 125-angle ones
+        for block in (1, 16, 32, 125):
+            monkeypatch.setattr(teleport, "_BLOCK", block)
             assert nonadvantageous_bound(n, m, eta, n_theta=n_theta, n_phase=n_phase) == best
 
     def test_sample_values_equal_per_slot_monomials(self):
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
-        kernels = teleport._condition_kernels(
-            teleport._transported(params), params, teleport.BellEvent.D01
+        kernels = oracles.condition_kernels(
+            oracles.transported(params), params, teleport.BellEvent.D01
         )
         rng = np.random.default_rng(2)
         x = rng.uniform(-1.0, 1.0, 1000)

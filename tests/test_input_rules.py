@@ -1,5 +1,5 @@
-"""Input rules checked at every entry point: integer sizes and counts,
-splitter angles, and detector kinds.
+"""Input rules checked at every entry point: integer sizes, counts and
+mode indices, splitter angles, and detector kinds.
 
 Each rule lives in one place (``fock._integer`` and ``_positive_count``,
 ``circuits._check_angle``, ``detection._DETECTOR_KINDS``); these tests
@@ -21,21 +21,28 @@ from wsim import (
     FockSpace,
     SplitterAngles,
     TeleportParams,
+    apply_phase_shift,
+    apply_two_mode_unitary,
     averaged_fidelity_curve,
     bloch_average,
     canonical_basis,
+    coefficients_from_angles,
     mc_averaged,
     nonadvantageous_bound,
+    partial_trace,
     povm_moments,
     povm_number,
     povm_onoff,
+    reduced_pair,
     simulate_averaged,
+    splitter,
     symmetric_angles,
 )
 from wsim.cli import main
 
 DET = DetectorModel(0.7)
 PARAMS = TeleportParams(3, 1, 0.8, 0.5)
+W3 = coefficients_from_angles(symmetric_angles(3))
 
 
 def _quadrature(n_polar, n_azimuth):
@@ -76,6 +83,24 @@ INTEGER_INPUTS = {
         "n_phase",
         lambda v: nonadvantageous_bound(3, 1, 0.7, n_theta=5, n_phase=v),
         3,
+    ),
+    # mode and pair indices: a fractional index must not pick a mode
+    "reduced_pair.i": ("i", lambda v: reduced_pair(W3, v, 2).matrix.tobytes(), 1),
+    "reduced_pair.j": ("j", lambda v: reduced_pair(W3, 0, v).matrix.tobytes(), 1),
+    "partial_trace.keep": (
+        "mode",
+        lambda v: partial_trace(_pair_state(), (v,)).matrix.tobytes(),
+        1,
+    ),
+    "apply_two_mode_unitary.modes": (
+        "mode",
+        lambda v: apply_two_mode_unitary(_pair_state(), (v, 1), splitter(0.3)).matrix.tobytes(),
+        0,
+    ),
+    "apply_phase_shift.mode": (
+        "mode",
+        lambda v: apply_phase_shift(_pair_state(), v, 0.3).matrix.tobytes(),
+        1,
     ),
 }
 NOT_INTEGERS = [True, False, np.True_, 2.5, 1.7, 3.0, -0.5, "3", None, 1 + 0j]

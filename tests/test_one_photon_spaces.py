@@ -234,6 +234,7 @@ class TestBoundedCaches:
             fock._mode_counts,
             teleport._operator_basis_maps,
             teleport._bell_unitary,
+            teleport._trace_index,
             teleport._w_amplitudes,
             detection._readout_unitary,
             detection._count_vectors,

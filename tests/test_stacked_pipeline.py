@@ -34,6 +34,8 @@ from wsim.circuits import bell_splitter
 from wsim.detection import _condition_outcomes_raw
 from wsim.teleport import MCResult
 
+import oracles
+
 HALF_PI = math.pi / 2.0
 
 efficiencies = st.one_of(st.just(1e-9), st.just(1.0), st.floats(1e-9, 1.0))
@@ -139,6 +141,45 @@ class TestStackEqualsLoop:
             tensor(DensityOperator(space, two), conditional_resource(params))
 
 
+def bits(pairs):
+    """Each float of a list of (f, p) pairs by its repr: equal reprs are
+    equal bits, signed zeros included."""
+    return [tuple(repr(float(x)) for x in pair) for pair in pairs]
+
+
+class TestBlockedMoments:
+    """The moments route over blocks of rows against the per-row route,
+    kept as the oracle: each row has its own resource, angle, efficiency,
+    detector kind and event set."""
+
+    @pytest.mark.parametrize("size", [1, 15, 16, 17, 40])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_blocks_equal_per_row_route(self, size, data):
+        rows = data.draw(st.lists(teleport_params(), min_size=size, max_size=size))
+        expected = [oracles.moments(params) for params in rows]
+        assert bits(teleport._averaged_moments(rows)) == bits(expected)
+        assert bits([simulate_averaged(rows[0], "moments")]) == bits(expected[:1])
+
+    @settings(max_examples=20, deadline=None)
+    @given(rows=st.lists(teleport_params(), min_size=1, max_size=teleport._BLOCK))
+    def test_block_kernels_equal_per_row_kernels(self, rows):
+        # mc_averaged reads the one-row block's kernels
+        index, kernels = teleport._block_kernels(rows)
+        # all D10 kernels, then all D01 kernels, each in row order
+        pairs = [
+            (b, event)
+            for event in (BellEvent.D10, BellEvent.D01)
+            for b, params in enumerate(rows)
+            if event in params.events
+        ]
+        assert index == [b for b, _ in pairs]
+        assert len(kernels) == len(pairs)
+        for (b, event), k in zip(pairs, kernels):
+            expected = oracles.condition_kernels(oracles.transported(rows[b]), rows[b], event)
+            assert k.tobytes() == expected.tobytes()
+
+
 def plain_monomials(x, phi):
     """_monomials written out, every array freshly allocated."""
     a = np.sqrt((1.0 + x) / 2.0) * np.exp(-1j * phi)
@@ -174,8 +215,8 @@ def dense_sample_values(kernels, monomials):
 def loop_mc(params, n_samples, seed, chunks):
     """mc_averaged with every chunk's monomials built, its samples
     evaluated with the dense kernel and its sums taken in one piece."""
-    mats = teleport._transported(params)
-    event_kernels = [teleport._condition_kernels(mats, params, e) for e in params.events]
+    mats = oracles.transported(params)
+    event_kernels = [oracles.condition_kernels(mats, params, e) for e in params.events]
     sizes = [n_samples // chunks + (1 if i < n_samples % chunks else 0) for i in range(chunks)]
     sum_f = sum_p = sum_ff = sum_pp = sum_fp = 0.0
     for seq, size in zip(np.random.SeedSequence(seed).spawn(chunks), sizes):
@@ -198,8 +239,8 @@ class TestBlockedSamples:
     @pytest.mark.parametrize("size", [1, 1000, 16_385, 125_000])
     def test_sample_values_in_slices(self, size):
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
-        mats = teleport._transported(params)
-        kernels = teleport._condition_kernels(mats, params, BellEvent.D01)
+        mats = oracles.transported(params)
+        kernels = oracles.condition_kernels(mats, params, BellEvent.D01)
         monomials = sampled_monomials(np.random.default_rng(size), size)
         f, p = fresh_sample_values(kernels, monomials)
         for block in (7, 1000, teleport._SAMPLE_BLOCK):
@@ -213,10 +254,10 @@ class TestBlockedSamples:
     @settings(max_examples=40, deadline=None)
     @given(params=teleport_params(), seed=st.integers(0, 2**32 - 1))
     def test_sample_values_skip_only_zero_terms(self, params, seed):
-        mats = teleport._transported(params)
+        mats = oracles.transported(params)
         monomials = sampled_monomials(np.random.default_rng(seed), 500)
         for event in params.events:
-            kernels = teleport._condition_kernels(mats, params, event)
+            kernels = oracles.condition_kernels(mats, params, event)
             f, p = fresh_sample_values(kernels, monomials)
             dense_f, dense_p = dense_sample_values(kernels, monomials)
             # equal as numbers: a skipped term can change only a zero's sign
@@ -227,8 +268,8 @@ class TestBlockedSamples:
         # mc_averaged's leaves reuse one workspace; each leaf's monomials and
         # values are views into it, bit for bit the freshly allocated ones
         params = TeleportParams(4, 1, 0.8, 0.9, "number", "both")
-        mats = teleport._transported(params)
-        event_kernels = [teleport._condition_kernels(mats, params, e) for e in params.events]
+        mats = oracles.transported(params)
+        event_kernels = [oracles.condition_kernels(mats, params, e) for e in params.events]
         work = teleport._LeafWork(4096)
         rng = np.random.default_rng(11)
         for count in (4096, 1, 2500, 128):
