@@ -14,7 +14,11 @@ produce byte-identical output regardless of --jobs, which hands each
 worker process whole blocks of 16 contiguous sweep or --optimize rows
 (their simulated residuals run as one block) or single --critical-eta
 rows.  Exit codes: 0 on success, 1 when `verify` finds a failing claim,
-2 on usage or validation errors.  Column semantics are documented in
+2 on usage or validation errors.  A request that would not fit a 1 GiB
+memory budget is such an error, found before any work: `wstate` and
+`teleport` above 1,080,223 modes, `witness-scan` above 1,015,839 mode
+pairs (N = 1,425 by --symmetric or by the count of --coeffs), and
+`teleport` above 890,333 rows.  Column semantics are documented in
 docs/schema.md.
 """
 
@@ -89,9 +93,39 @@ def _emit(args, out, header: list[str], rows: list[dict]) -> None:
             writer.writerow([SCHEMA_VERSION] + [_cell(row.get(key)) for key in header])
 
 
-def _parse_coefficients(args) -> WCoefficients:
+# Admission: a command's peak memory grows linearly in the modes, mode
+# pairs or output rows it is asked for, so one budget divided by the peak
+# per item bounds each.  Each peak is the growth of peak RSS between two
+# sizes, the larger of CSV and JSON output (2-vCPU Xeon, numpy 2.4.6,
+# Python 3.11): 994 bytes per mode (wstate; teleport takes 350), 1,057 per
+# mode pair (witness-scan) and 1,206 per row (teleport).  A request is
+# checked before any coefficient is parsed or any state is built.
+_BUDGET = 2**30
+_MAX_MODES = _BUDGET // 994
+_MAX_PAIRS = _BUDGET // 1057
+_MAX_ROWS = _BUDGET // 1206
+
+
+def _admit(what: str, count: int, limit: int) -> None:
+    if count > limit:
+        raise ValueError(f"{count} {what} exceed the limit of {limit} (a 1 GiB memory budget)")
+
+
+def _grid_size(text: str) -> int:
+    """The token count of a comma-separated list, without parsing it."""
+    return text.count(",") + 1
+
+
+def _state_modes(args) -> int:
+    """The mode count of --symmetric or --coeffs."""
     if (args.symmetric is None) == (args.coeffs is None):
         raise ValueError("exactly one of --symmetric and --coeffs is required")
+    return args.symmetric if args.symmetric is not None else _grid_size(args.coeffs)
+
+
+def _parse_coefficients(args) -> WCoefficients:
+    """The coefficients of --symmetric or --coeffs, once _state_modes has
+    checked that exactly one is given."""
     if args.symmetric is not None:
         return coefficients_from_angles(symmetric_angles(args.symmetric))
     try:
@@ -123,6 +157,7 @@ _WSTATE_HEADER = [
 
 
 def cmd_wstate(args, out) -> int:
+    _admit("modes", _state_modes(args), _MAX_MODES)
     coeffs = _parse_coefficients(args)
     angles = angles_from_coefficients(coeffs)
     sims = _mode_amplitudes(_chain_amplitudes(angles)).tolist()
@@ -162,6 +197,8 @@ _WITNESS_HEADER = [
 
 
 def cmd_witness_scan(args, out) -> int:
+    n = _state_modes(args)
+    _admit("mode pairs", max(n, 0) * (n - 1) // 2, _MAX_PAIRS)
     coeffs = _parse_coefficients(args)
     if args.eta <= 0.0:
         raise ValueError("a detection scan needs a positive efficiency")
@@ -285,7 +322,16 @@ def _run_blocks(worker, tasks, jobs: int) -> list[dict]:
 
 def cmd_teleport(args, out) -> int:
     ns = _parse_grid(args.N, int, "N")
+    _admit("modes", max(ns), _MAX_MODES)
     etas = _parse_grid(args.eta, float, "eta") if args.eta else [1.0]
+    if args.critical_eta:
+        per_m = 1
+    elif args.optimize or args.theta is None:
+        per_m = len(etas)
+    else:
+        per_m = len(etas) * _grid_size(args.theta)
+    ms = sum(len(range(n - 1)) if args.m is None else _grid_size(args.m) for n in ns)
+    _admit("rows", ms * per_m, _MAX_ROWS)
 
     def ms_for(n: int) -> list[int]:
         if args.m is None:

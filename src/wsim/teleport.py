@@ -630,12 +630,6 @@ def _condition_kernels(entries: np.ndarray, sqw: np.ndarray, d01: int) -> np.nda
     return k
 
 
-def _stacked(arrays: list) -> np.ndarray:
-    """np.array(arrays), or a view of the one array when there is one: a
-    one-row block copies nothing."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
     """The kernels of a block of at most _BLOCK rows, one for each row and
     event of its event set: the rows' indices, and the kernels as a (K, 4,
@@ -644,8 +638,8 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
     (from conditional_resource), splitter angle (_bell_unitary's cache),
     efficiency, detector kind and event set."""
     entries = _transported(
-        _stacked([conditional_resource(p).matrix for p in rows]),
-        _stacked([_bell_unitary(p.theta) for p in rows]),
+        np.array([conditional_resource(p).matrix for p in rows]),
+        np.array([_bell_unitary(p.theta) for p in rows]),
     )
     index, sqw = [], []
     for event in (BellEvent.D10, BellEvent.D01):
@@ -654,10 +648,7 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
             if event in p.events:
                 index.append(b)
                 sqw.append(_event_weight_sqrt(event, p.eta, p.detector_kind))
-    # with one event per row, in row order, the entries need no copy
-    if index != list(range(len(rows))):
-        entries = entries[index]
-    return index, _condition_kernels(entries, _stacked(sqw), d01)
+    return index, _condition_kernels(entries[index], np.array(sqw), d01)
 
 
 # Bloch moments of the amplitude monomials appearing in the fidelity:

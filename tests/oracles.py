@@ -1,9 +1,40 @@
-"""Reference routes shared by several test modules."""
+"""Reference routes, random inputs and Hypothesis strategies shared by
+several test modules."""
+
+import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from wsim import fock, teleport
+from wsim import TeleportParams, UnknownQubit, fock, teleport
 from wsim.circuits import bell_splitter, splitter
+
+HALF_PI = math.pi / 2.0
+
+efficiencies = st.one_of(st.just(1e-9), st.just(1.0), st.floats(1e-9, 1.0))
+angles = st.one_of(st.just(0.0), st.just(HALF_PI), st.floats(0.0, HALF_PI))
+
+
+@st.composite
+def teleport_params(draw, theta=st.just(0.0)):
+    """A TeleportParams of 2 to 10 modes, often at m = N - 2 and at the
+    efficiency bounds, with its angle drawn from ``theta``."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.one_of(st.just(n - 2), st.integers(0, n - 2)))
+    return TeleportParams(
+        n,
+        m,
+        draw(efficiencies),
+        draw(theta),
+        draw(st.sampled_from(["number", "onoff"])),
+        draw(st.sampled_from(["D10", "D01", "both"])),
+    )
+
+
+def random_qubit(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return UnknownQubit(complex(v[0]), complex(v[1]))
 
 
 def pad(space, matrix, target):

@@ -12,7 +12,6 @@ import pytest
 from wsim import (
     DetectorModel,
     TeleportParams,
-    UnknownQubit,
     averaged_fidelity_probability,
     bell_events,
     bob_state,
@@ -37,6 +36,8 @@ from wsim import (
 from wsim.circuits import coefficients_from_angles
 from wsim.teleport import _fbar
 from wsim.verify import _refine_max
+
+from oracles import random_qubit
 
 
 def _report(capsys, number, description, body):
@@ -68,12 +69,6 @@ def _random_params(rng, detector_kind=None, event_set=None):
         detector_kind=detector_kind or ("number", "onoff")[int(rng.integers(2))],
         event_set=event_set or ("D10", "D01", "both")[int(rng.integers(3))],
     )
-
-
-def _random_qubit(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return UnknownQubit(complex(v[0]), complex(v[1]))
 
 
 def test_01_symmetric_generation(capsys):
@@ -145,7 +140,7 @@ def test_05_protocol_closed_forms(capsys):
         rng = np.random.default_rng(5)
         for _ in range(200):
             params = _random_params(rng)
-            qubit = _random_qubit(rng)
+            qubit = random_qubit(rng)
             event = params.events[0]
             assert (
                 abs(

@@ -22,12 +22,7 @@ from wsim import (
     w_state_from_coefficients,
 )
 from wsim import circuits
-
-
-def random_coefficients(rng, n):
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    return WCoefficients(tuple(complex(x) for x in v))
+from wsim.verify import _random_coefficients as random_coefficients
 
 
 class TestTypes:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsim import cli
 from wsim.cli import main
 
 
@@ -279,6 +280,148 @@ class TestOutputPlumbing:
         assert (code, out) == (2, "")
         assert err == "error: provide --theta, or use --optimize / --critical-eta\n"
         assert target.read_text() == ""
+
+
+class _Started(Exception):
+    """Raised by a spy: the request was admitted and work began."""
+
+
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("work began on a request above the budget")
+
+
+def _started(*args, **kwargs):
+    raise _Started
+
+
+def _spy_on_first_work(monkeypatch, spy):
+    """Replace what each command runs first after admission: the
+    coefficient parser, the state constructors and the row runner."""
+    for target in (
+        "wsim.cli._parse_coefficients",
+        "wsim.cli.symmetric_angles",
+        "wsim.cli.scan_all_pairs",
+        "wsim.cli._run_tasks",
+        "wsim.teleport._w_amplitudes",
+    ):
+        monkeypatch.setattr(target, spy)
+
+
+def _refusal(count, what, limit):
+    return f"error: {count} {what} exceed the limit of {limit} (a 1 GiB memory budget)\n"
+
+
+_GRID_1000 = ",".join(["0.5"] * 1000)
+
+
+class TestAdmission:
+    # sizes that no check would stop before the spy, so a missing refusal
+    # fails at the spy instead of allocating
+    @pytest.mark.parametrize(
+        "argv, count, what, limit",
+        [
+            (["wstate", "--symmetric", "10000000"], 10_000_000, "modes", cli._MAX_MODES),
+            (
+                ["wstate", "--symmetric", str(cli._MAX_MODES + 1)],
+                cli._MAX_MODES + 1,
+                "modes",
+                cli._MAX_MODES,
+            ),
+            (
+                ["witness-scan", "--symmetric", "10000000"],
+                49_999_995_000_000,
+                "mode pairs",
+                cli._MAX_PAIRS,
+            ),
+            (
+                ["witness-scan", "--coeffs", ",".join(["0.1"] * 1426)],
+                1426 * 1425 // 2,
+                "mode pairs",
+                cli._MAX_PAIRS,
+            ),
+            (
+                ["teleport", "--N", "10000000", "--m", "0", "--theta", "0.7"],
+                10_000_000,
+                "modes",
+                cli._MAX_MODES,
+            ),
+            (
+                ["teleport", "--N", "100000", "--m", "0"]
+                + ["--eta", _GRID_1000, "--theta", _GRID_1000],
+                1_000_000,
+                "rows",
+                cli._MAX_ROWS,
+            ),
+            (["teleport", "--N", "1000000", "--critical-eta"], 999_999, "rows", cli._MAX_ROWS),
+            (
+                ["teleport", "--N", "1000", "--eta", _GRID_1000, "--optimize"],
+                999_000,
+                "rows",
+                cli._MAX_ROWS,
+            ),
+        ],
+        ids=[
+            "wstate",
+            "wstate-limit",
+            "witness-symmetric",
+            "witness-coeffs",
+            "teleport-modes",
+            "teleport-sweep-rows",
+            "teleport-critical-rows",
+            "teleport-optimize-rows",
+        ],
+    )
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv, count, what, limit):
+        _spy_on_first_work(monkeypatch, _must_not_build)
+        assert run(capsys, argv) == (2, "", _refusal(count, what, limit))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness-scan", "--symmetric", "1000"],
+            ["witness-scan", "--symmetric", "1425"],
+            ["witness-scan", "--coeffs", ",".join(["0.1"] * 1425)],
+            ["wstate", "--symmetric", str(cli._MAX_MODES)],
+            ["teleport", "--N", "65536", "--m", "0,32768", "--eta", "0.9", "--theta", "0.7"],
+            ["teleport", "--N", str(cli._MAX_MODES), "--m", "0", "--theta", "0.7"],
+        ],
+        ids=[
+            "witness-1000",
+            "witness-limit",
+            "witness-coeffs-limit",
+            "wstate-limit",
+            "teleport-65536",
+            "teleport-limit",
+        ],
+    )
+    def test_largest_sizes_are_admitted(self, monkeypatch, argv):
+        _spy_on_first_work(monkeypatch, _started)
+        with pytest.raises(_Started):
+            main(argv)
+
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [
+            (["--eta", "0.5,0.9", "--theta", "0.1,0.2,0.3"], 30),
+            (["--m", "0,1", "--eta", "0.5,0.9", "--theta", "0.1,0.2,0.3"], 24),
+            (["--eta", "0.5,0.9", "--optimize"], 10),
+            (["--m", "0", "--eta", "0.5,0.9", "--optimize"], 4),
+            (["--eta", "0.5,0.9", "--critical-eta"], 5),
+        ],
+        ids=["sweep", "sweep-m", "optimize", "optimize-m", "critical"],
+    )
+    def test_rows_are_counted_from_the_grids(self, capsys, monkeypatch, argv, rows):
+        # N = 3 and 4 give 2 + 3 cooperation counts when --m is absent
+        _spy_on_first_work(monkeypatch, _started)
+        monkeypatch.setattr(cli, "_MAX_ROWS", rows)
+        with pytest.raises(_Started):
+            main(["teleport", "--N", "3,4", *argv])
+        monkeypatch.setattr(cli, "_MAX_ROWS", rows - 1)
+        assert run(capsys, ["teleport", "--N", "3,4", *argv]) == (
+            2,
+            "",
+            _refusal(rows, "rows", rows - 1),
+        )
 
 
 class _RecordingPool:

@@ -24,24 +24,7 @@ from wsim import (
 from wsim import teleport
 from wsim.config import TOL
 
-HALF_PI = math.pi / 2.0
-
-efficiencies = st.one_of(st.just(1e-9), st.just(1.0), st.floats(1e-9, 1.0))
-angles = st.one_of(st.just(0.0), st.just(HALF_PI), st.floats(0.0, HALF_PI))
-
-
-@st.composite
-def teleport_params(draw, theta=st.just(0.0)):
-    n = draw(st.integers(2, 10))
-    m = draw(st.one_of(st.just(n - 2), st.integers(0, n - 2)))
-    return TeleportParams(
-        n,
-        m,
-        draw(efficiencies),
-        draw(theta),
-        draw(st.sampled_from(["number", "onoff"])),
-        draw(st.sampled_from(["D10", "D01", "both"])),
-    )
+from oracles import HALF_PI, angles, teleport_params
 
 
 def per_angle(params, grid):

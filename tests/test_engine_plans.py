@@ -34,7 +34,7 @@ from wsim import (
     splitter,
     symmetric_angles,
 )
-from wsim import circuits, fock, teleport
+from wsim import circuits, detection, fock, teleport
 from wsim.config import TOL
 
 import oracles
@@ -519,6 +519,24 @@ class TestStackedKernels:
                 [fock._embedded_unitary(space, (0, 1), bell_splitter(theta)) for theta in grid]
             )
             assert_same_bits(stack, expected)
+
+    def test_float_and_complex_splitters_embed_differently(self):
+        # the moments route embeds the float bell_splitter (_bell_unitary);
+        # _bob_states, the detector readout and lossy_moments_ancilla embed
+        # the complex cast that _check_two_mode_unitary returns.
+        # _two_mode_table rounds the two differently, so merging the two
+        # embeddings moves bits
+        theta = 0.33819703275213564
+        checked = fock._check_two_mode_unitary(bell_splitter(theta))
+        diff = teleport._bell_unitary(theta) - fock._embedded_unitary(
+            teleport._JOINT_SPACE, (0, 1), checked
+        )
+        assert np.argwhere(diff != 0).tolist() == [[6, 9], [9, 6]]
+        assert np.max(np.abs(diff)) < 1e-16
+        for cutoff, differs in ((3, False), (4, True)):
+            space = FockSpace(2, cutoff)
+            real = fock._embedded_unitary(space, (0, 1), bell_splitter(math.pi / 4))
+            assert np.any(detection._readout_unitary(space) != real) == differs
 
     @pytest.mark.parametrize("max_photons", [0, 1, 2, 3, 4])
     def test_stacked_tables_equal_single_tables(self, max_photons):

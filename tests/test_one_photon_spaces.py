@@ -2,11 +2,14 @@
 photon and must equal, entry for entry, the same route run in the
 two-photon space."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import wsim
 from wsim import (
     DensityOperator,
     DetectorModel,
@@ -28,14 +31,9 @@ from wsim import (
 )
 from wsim import detection, fock, teleport, witness
 from wsim.cli import main
+from wsim.verify import _random_coefficients as random_coefficients
 
 from oracles import pad
-
-
-def random_coefficients(rng, n):
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    return WCoefficients(tuple(complex(x) for x in v))
 
 
 def two_photon_density(state):
@@ -220,27 +218,20 @@ class TestNoLargeOnePhotonBasis:
         assert max(modes, default=0) <= 64
 
 
+def _wsim_caches():
+    """Every lru_cache in wsim's modules, found by its cache_info, once
+    each and in name order."""
+    found = {}
+    for info in pkgutil.iter_modules(wsim.__path__):
+        module = importlib.import_module(f"wsim.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                found[id(value)] = value
+    return sorted(found.values(), key=lambda cached: cached.__name__)
+
+
 class TestBoundedCaches:
-    @pytest.mark.parametrize(
-        "cached",
-        [
-            teleport._conditional_resource_cached,
-            teleport._event_weight_sqrt,
-            fock._basis_tables,
-            fock._tensor_plan,
-            fock._ptrace_plan,
-            fock._unitary_plan,
-            fock._two_mode_table_plan,
-            fock._mode_counts,
-            teleport._operator_basis_maps,
-            teleport._bell_unitary,
-            teleport._trace_index,
-            teleport._w_amplitudes,
-            detection._readout_unitary,
-            detection._count_vectors,
-            fock._photon_numbers,
-        ],
-    )
+    @pytest.mark.parametrize("cached", _wsim_caches())
     def test_cache_has_a_bound(self, cached):
         assert cached.cache_info().maxsize is not None
 

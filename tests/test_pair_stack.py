@@ -32,7 +32,7 @@ from wsim import (
 from wsim import detection, fock, witness
 from wsim.config import TOL
 
-from oracles import pad
+from oracles import efficiencies, pad
 
 PAIR = FockSpace(2)
 
@@ -79,8 +79,6 @@ def loop_witness(rho2, eta):
 # ---------------------------------------------------------------------------
 # Strategies.
 # ---------------------------------------------------------------------------
-
-efficiencies = st.one_of(st.just(1e-9), st.just(1.0), st.floats(1e-9, 1.0))
 
 
 @st.composite

@@ -35,25 +35,7 @@ from wsim.detection import _condition_outcomes_raw
 from wsim.teleport import MCResult
 
 import oracles
-
-HALF_PI = math.pi / 2.0
-
-efficiencies = st.one_of(st.just(1e-9), st.just(1.0), st.floats(1e-9, 1.0))
-angles = st.one_of(st.just(0.0), st.just(HALF_PI), st.floats(0.0, HALF_PI))
-
-
-@st.composite
-def teleport_params(draw):
-    n = draw(st.integers(2, 10))
-    m = draw(st.one_of(st.just(n - 2), st.integers(0, n - 2)))
-    return TeleportParams(
-        n,
-        m,
-        draw(efficiencies),
-        draw(angles),
-        draw(st.sampled_from(["number", "onoff"])),
-        draw(st.sampled_from(["D10", "D01", "both"])),
-    )
+from oracles import angles, teleport_params
 
 
 @st.composite
@@ -101,7 +83,7 @@ def density_stack(qs):
 
 class TestStackEqualsLoop:
     @settings(max_examples=60, deadline=None)
-    @given(params=teleport_params(), qs=st.lists(qubits(), min_size=1, max_size=6))
+    @given(params=teleport_params(theta=angles), qs=st.lists(qubits(), min_size=1, max_size=6))
     def test_bob_states(self, params, qs):
         for event in (BellEvent.D10, BellEvent.D01):
             space, stack = teleport._bob_states(event, density_stack(qs), params)
@@ -113,7 +95,7 @@ class TestStackEqualsLoop:
                 assert np.array_equal(bob_state(event, q, params).matrix, expected.matrix)
 
     @settings(max_examples=15, deadline=None)
-    @given(params=teleport_params())
+    @given(params=teleport_params(theta=angles))
     def test_quadrature(self, params):
         assert simulate_averaged(params, method="quadrature") == loop_quadrature(params)
 
@@ -156,13 +138,13 @@ class TestBlockedMoments:
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_blocks_equal_per_row_route(self, size, data):
-        rows = data.draw(st.lists(teleport_params(), min_size=size, max_size=size))
+        rows = data.draw(st.lists(teleport_params(theta=angles), min_size=size, max_size=size))
         expected = [oracles.moments(params) for params in rows]
         assert bits(teleport._averaged_moments(rows)) == bits(expected)
         assert bits([simulate_averaged(rows[0], "moments")]) == bits(expected[:1])
 
     @settings(max_examples=20, deadline=None)
-    @given(rows=st.lists(teleport_params(), min_size=1, max_size=teleport._BLOCK))
+    @given(rows=st.lists(teleport_params(theta=angles), min_size=1, max_size=teleport._BLOCK))
     def test_block_kernels_equal_per_row_kernels(self, rows):
         # mc_averaged reads the one-row block's kernels
         index, kernels = teleport._block_kernels(rows)
@@ -252,7 +234,7 @@ class TestBlockedSamples:
             assert np.array_equal(np.concatenate([pp for _, pp in parts]), p)
 
     @settings(max_examples=40, deadline=None)
-    @given(params=teleport_params(), seed=st.integers(0, 2**32 - 1))
+    @given(params=teleport_params(theta=angles), seed=st.integers(0, 2**32 - 1))
     def test_sample_values_skip_only_zero_terms(self, params, seed):
         mats = oracles.transported(params)
         monomials = sampled_monomials(np.random.default_rng(seed), 500)

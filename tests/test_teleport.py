@@ -34,11 +34,7 @@ from wsim import (
     vacuum_weight,
 )
 
-
-def random_qubit(rng):
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return UnknownQubit(complex(v[0]), complex(v[1]))
+from oracles import random_qubit
 
 
 class TestEvents:

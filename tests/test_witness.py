@@ -17,12 +17,7 @@ from wsim import (
     witness_ratio_simulated,
 )
 from wsim.circuits import coefficients_from_angles
-
-
-def random_coefficients(rng, n):
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    return WCoefficients(tuple(complex(x) for x in v))
+from wsim.verify import _random_coefficients as random_coefficients
 
 
 class TestReducedPair:
