@@ -16,8 +16,11 @@ chain with phases, a zero splitter angle and larger N, two witness scans
 its note row, and pairs whose coefficient product is zero), heralded
 resources at N = 1,024 for four cooperation counts, two lines at scale
 (the 2,048-mode symmetric W state and the resource at N = 4,096), a
-36-row sweep whose simulated rows cross a block boundary, and an
-optimized grid run with two worker processes.
+36-row sweep whose simulated rows cross a block boundary, an optimized
+grid run with two worker processes, and JSON runs of `wstate`,
+`witness-scan` (with the vacuum pair) and `verify`, so that every
+subcommand's JSON writer is covered (`teleport --N 3 --optimize --json`
+is the teleport one).
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ EXAMPLES = [
     "teleport --N 4096 --m 0,2048 --eta 0.9 --theta 0.7",
     "teleport --N 3,5,9 --m 0,1 --eta 0.35,0.9 --theta 0.2,0.7,1.1 --detector onoff --events both",
     "teleport --N 3,4,5 --optimize --events both --jobs 2",
+    "wstate --symmetric 64 --json",
+    "witness-scan --coeffs 0,0,0.6,0.8j --eta 0.5 --json",
+    "verify --seed 1 --json",
 ]
 
 

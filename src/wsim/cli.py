@@ -9,17 +9,21 @@ efficiencies; `verify` reruns the package's analytic cross-checks.
 
 All output is tabular, CSV (RFC 4180) or a single JSON object, written to
 stdout or --output.  Angles are radians, mode indices 0-based, floats are
-shortest round-trip representations.  Runs with equal arguments and seed
-produce byte-identical output regardless of --jobs, which hands each
-worker process whole blocks of 16 contiguous sweep or --optimize rows
-(their simulated residuals run as one block) or single --critical-eta
-rows.  Exit codes: 0 on success, 1 when `verify` finds a failing claim,
-2 on usage or validation errors.  A request that would not fit a 1 GiB
-memory budget is such an error, found before any work: `wstate` and
-`teleport` above 1,080,223 modes, `witness-scan` above 1,015,839 mode
-pairs (N = 1,425 by --symmetric or by the count of --coeffs), and
-`teleport` above 890,333 rows.  Column semantics are documented in
-docs/schema.md.
+shortest round-trip representations.  Tables are written as their rows
+are made: `wstate`, `witness-scan` and `verify` make each row when it is
+written, from results computed and checked before the first, and hold no
+table of rows.  `teleport` computes every row before it writes any, since
+its checks run inside the row workers, so a late error still leaves
+stdout empty.  Runs with equal arguments and seed produce byte-identical
+output regardless of --jobs, which hands each worker process whole blocks
+of 16 contiguous sweep or --optimize rows (their simulated residuals run
+as one block) or single --critical-eta rows.  Exit codes: 0 on success,
+1 when `verify` finds a failing claim, 2 on usage or validation errors.
+A request that would not fit a 1 GiB memory budget is such an error,
+found before any work: `wstate` and `teleport` above 1,080,223 modes,
+`witness-scan` above 1,015,839 mode pairs (N = 1,425 by --symmetric or
+by the count of --coeffs), and `teleport` above 890,333 rows.  Column
+semantics are documented in docs/schema.md.
 """
 
 from __future__ import annotations
@@ -71,7 +75,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(args, out, header: list[str], rows: list[dict]) -> None:
+def _emit(args, out, header: list[str], rows) -> None:
+    """Write ``rows``, an iterable of dicts read once, as the table with
+    columns ``header``; a key a row lacks is an empty cell (JSON null).
+    CSV writes each row as it arrives, so making a row must not raise: a
+    command runs its checks before it calls _emit."""
     if args.format == "json":
         config = {"command": args.command, "format": args.format, "seed": args.seed}
         for key, value in sorted(vars(args).items()):
@@ -89,8 +97,7 @@ def _emit(args, out, header: list[str], rows: list[dict]) -> None:
     else:
         writer = csv.writer(out)
         writer.writerow(["schema_version"] + header)
-        for row in rows:
-            writer.writerow([SCHEMA_VERSION] + [_cell(row.get(key)) for key in header])
+        writer.writerows([SCHEMA_VERSION] + [_cell(row.get(key)) for key in header] for row in rows)
 
 
 # Admission: a command's peak memory grows linearly in the modes, mode
@@ -98,8 +105,9 @@ def _emit(args, out, header: list[str], rows: list[dict]) -> None:
 # per item bounds each.  Each peak is the growth of peak RSS between two
 # sizes, the larger of CSV and JSON output (2-vCPU Xeon, numpy 2.4.6,
 # Python 3.11): 994 bytes per mode (wstate; teleport takes 350), 1,057 per
-# mode pair (witness-scan) and 1,206 per row (teleport).  A request is
-# checked before any coefficient is parsed or any state is built.
+# mode pair (witness-scan) and 1,206 per row (teleport), measured when every
+# command held its whole table; wstate and witness-scan now peak lower.  A
+# request is checked before any coefficient is parsed or any state is built.
 _BUDGET = 2**30
 _MAX_MODES = _BUDGET // 994
 _MAX_PAIRS = _BUDGET // 1057
@@ -163,20 +171,19 @@ def cmd_wstate(args, out) -> int:
     sims = _mode_amplitudes(_chain_amplitudes(angles)).tolist()
     n = len(coeffs)
     error = max(abs(a - s) for a, s in zip(coeffs.alphas, sims))
-    rows = []
-    for j in range(n):
-        rows.append(
-            {
-                "mode": j,
-                "theta": angles.thetas[j] if j < n - 1 else 0.0,
-                "phi": angles.phis[j],
-                "alpha_re": coeffs.alphas[j].real,
-                "alpha_im": coeffs.alphas[j].imag,
-                "sim_re": sims[j].real,
-                "sim_im": sims[j].imag,
-                "round_trip_error": error,
-            }
-        )
+    rows = (
+        {
+            "mode": j,
+            "theta": angles.thetas[j] if j < n - 1 else 0.0,
+            "phi": angles.phis[j],
+            "alpha_re": coeffs.alphas[j].real,
+            "alpha_im": coeffs.alphas[j].imag,
+            "sim_re": sims[j].real,
+            "sim_im": sims[j].imag,
+            "round_trip_error": error,
+        }
+        for j in range(n)
+    )
     _emit(args, out, _WSTATE_HEADER, rows)
     return 0
 
@@ -204,27 +211,28 @@ def cmd_witness_scan(args, out) -> int:
         raise ValueError("a detection scan needs a positive efficiency")
     det = DetectorModel(args.eta)
     report = scan_all_pairs(coeffs, det)
-    rows = []
-    for res in report.results:
-        i, j = res.pair
-        rows.append(
-            {
+
+    # witness_ratio_closed_form raises only on a pair weight above
+    # 1 + TOL.norm.  scan_all_pairs has checked the squared norm, summed mode
+    # by mode in mode order, against that bound, and a rounded sum of
+    # nonnegative terms never falls when a term is added, so no pair weight
+    # exceeds it: these rows cannot raise once the first is written
+    def rows():
+        for res in report.results:
+            i, j = res.pair
+            yield {
                 "row_type": "pair",
                 "i": i,
                 "j": j,
                 "p_ij": res.p_ij,
-                "ratio_closed": witness_ratio_closed_form(
-                    coeffs.alphas[i], coeffs.alphas[j], det
-                ),
+                "ratio_closed": witness_ratio_closed_form(coeffs.alphas[i], coeffs.alphas[j], det),
                 "ratio_sim": res.ratio,
                 "violated": res.violated,
                 "note": res.note,
             }
-        )
-    rows.append(
-        {"row_type": "summary", "all_violated": report.all_violated, "note": report.conclusion}
-    )
-    _emit(args, out, _WITNESS_HEADER, rows)
+        yield {"row_type": "summary", "all_violated": report.all_violated, "note": report.conclusion}
+
+    _emit(args, out, _WITNESS_HEADER, rows())
     return 0
 
 
@@ -323,7 +331,7 @@ def _run_blocks(worker, tasks, jobs: int) -> list[dict]:
 def cmd_teleport(args, out) -> int:
     ns = _parse_grid(args.N, int, "N")
     _admit("modes", max(ns), _MAX_MODES)
-    etas = _parse_grid(args.eta, float, "eta") if args.eta else [1.0]
+    etas = _parse_grid(args.eta, float, "eta")
     if args.critical_eta:
         per_m = 1
     elif args.optimize or args.theta is None:
@@ -374,7 +382,7 @@ _VERIFY_HEADER = ["claim_id", "description", "residual", "tolerance", "passed"]
 
 def cmd_verify(args, out) -> int:
     claims = run_verification(seed=args.seed, tolerance=args.tolerance)
-    rows = [
+    rows = (
         {
             "claim_id": c.claim_id,
             "description": c.description,
@@ -383,7 +391,7 @@ def cmd_verify(args, out) -> int:
             "passed": c.passed,
         }
         for c in claims
-    ]
+    )
     _emit(args, out, _VERIFY_HEADER, rows)
     return 0 if all(c.passed for c in claims) else 1
 

@@ -1,12 +1,14 @@
 """Reference routes, random inputs and Hypothesis strategies shared by
 several test modules."""
 
+import csv
+import json
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from wsim import TeleportParams, UnknownQubit, fock, teleport
+from wsim import TeleportParams, UnknownQubit, cli, fock, teleport
 from wsim.circuits import bell_splitter, splitter
 
 HALF_PI = math.pi / 2.0
@@ -118,3 +120,34 @@ def chain_amplitudes(angles):
         v[j] = u[0, 0] * a + u[0, 1] * b
         v[j + 1] = u[1, 0] * a + u[1, 1] * b
     return [a * np.exp(-1j * phi) for a, phi in zip(v, angles.phis)]
+
+
+# ---------------------------------------------------------------------------
+# The CLI table writer as it was when each command built its list of row
+# dicts: the writer that reads the rows once must give the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def emit(args, out, header, rows):
+    """cli._emit with the rows gathered into a list first, and the JSON
+    rows normalized into a second list."""
+    rows = list(rows)
+    if args.format == "json":
+        config = {"command": args.command, "format": args.format, "seed": args.seed}
+        for key, value in sorted(vars(args).items()):
+            if key in ("command", "format", "seed", "output", "json", "jobs", "func"):
+                continue
+            config[key] = value
+        config["jobs"] = args.jobs
+        payload = {
+            "schema_version": cli.SCHEMA_VERSION,
+            "config": config,
+            "rows": [{key: row.get(key) for key in header} for row in rows],
+        }
+        json.dump(payload, out, indent=2)
+        out.write("\n")
+    else:
+        writer = csv.writer(out)
+        writer.writerow(["schema_version"] + header)
+        for row in rows:
+            writer.writerow([cli.SCHEMA_VERSION] + [cli._cell(row.get(key)) for key in header])

@@ -3,19 +3,24 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wsim import cli
+from wsim import DetectorModel, cli, scan_all_pairs, witness_ratio_closed_form
+from wsim.circuits import coefficients_from_angles, symmetric_angles
 from wsim.cli import main
+from wsim.config import TOL
 
 
 def run(capsys, argv):
@@ -156,6 +161,13 @@ class TestTeleport:
         assert code == 2
         assert "cooperating count" in err
 
+    @pytest.mark.parametrize("flag", ["--N", "--m", "--eta", "--theta"])
+    def test_empty_grid_rejected(self, capsys, flag):
+        argv = {"--N": "3", "--m": "0", "--eta": "0.5", "--theta": "0.4"}
+        argv[flag] = ""
+        code, out, err = run(capsys, ["teleport", *itertools.chain(*argv.items())])
+        assert (code, out, err) == (2, "", f"error: could not parse {flag} value ''\n")
+
     def test_sweep_needs_an_angle(self, capsys):
         code, _, err = run(capsys, ["teleport", "--N", "3"])
         assert code == 2
@@ -280,6 +292,90 @@ class TestOutputPlumbing:
         assert (code, out) == (2, "")
         assert err == "error: provide --theta, or use --optimize / --critical-eta\n"
         assert target.read_text() == ""
+
+
+class TestTablesWrittenAsMade:
+    """wstate, witness-scan and verify hand _emit a generator of rows, which
+    it reads once."""
+
+    @pytest.fixture(autouse=True)
+    def shared(self, monkeypatch, verification):
+        monkeypatch.setattr("wsim.cli.run_verification", verification)
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wstate", "--coeffs", "0.6,0,0.8j"],
+            # a vacuum pair with its note, and the summary row
+            ["witness-scan", "--coeffs", "0,0,0.6,0.8j", "--eta", "0.5"],
+            ["teleport", "--N", "3,4", "--eta", "0.5,1", "--theta", "0.3"],
+            ["teleport", "--N", "3", "--optimize", "--events", "both"],
+            # critical rows leave most cells empty
+            ["teleport", "--N", "3", "--critical-eta"],
+            ["verify", "--seed", "1"],
+        ],
+        ids=["wstate", "witness-scan", "teleport-sweep", "teleport-optimize", "critical", "verify"],
+    )
+    def test_bytes_of_the_list_building_writer(self, capsys, monkeypatch, argv, fmt):
+        written = run(capsys, argv + fmt)
+        monkeypatch.setattr(cli, "_emit", oracles.emit)
+        assert written == run(capsys, argv + fmt)
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["wstate", "--coeffs", "1,1"], "coefficients are not normalized"),
+            # WCoefficients admits N * TOL.norm; the scan's own norm check, the
+            # last check before its rows are made, refuses it
+            (["witness-scan", "--coeffs", ",".join(["0.5773502691903475"] * 3)], "squared norm"),
+            (["verify", "--tolerance", "nan"], "tolerance"),
+        ],
+        ids=["wstate", "witness-scan", "verify"],
+    )
+    def test_an_error_leaves_stdout_empty(self, capsys, argv, message, fmt):
+        code, out, err = run(capsys, argv + fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "fmt, bound", [([], 2**20), (["--json"], 450 * 19_900)], ids=["csv", "json"]
+    )
+    def test_witness_scan_holds_no_table_of_rows(self, monkeypatch, fmt, bound):
+        # with the scan's report in hand, CSV keeps one row at a time and JSON
+        # one list of row dicts: 0.2 and 6.1 MB here against 6.2 and 11.7 MB
+        # (589 bytes a pair) when the rows were listed before being written
+        argv = ["witness-scan", "--symmetric", "200", "--output", os.devnull, *fmt]
+        report = scan_all_pairs(coefficients_from_angles(symmetric_angles(200)), DetectorModel(1.0))
+        monkeypatch.setattr("wsim.cli.scan_all_pairs", lambda coeffs, det: report)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        squares=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+        excess=st.floats(0.0, 1.0),
+    )
+    def test_accepted_states_have_a_closed_form_for_every_pair(self, squares, excess):
+        # witness-scan computes ratio_closed while its rows are written, so
+        # the closed form must accept every pair of a state the scan accepted,
+        # up to the edge of the norm tolerance
+        assume(sum(squares) > 0.0)
+        scale = (1.0 + excess * len(squares) * TOL.norm) / sum(squares)
+        alphas = [math.sqrt(x * scale) for x in squares]
+        det = DetectorModel(0.5)
+        try:
+            scan_all_pairs(alphas, det)
+        except ValueError:
+            assume(False)
+        for i, j in itertools.combinations(range(len(alphas)), 2):
+            witness_ratio_closed_form(alphas[i], alphas[j], det)
 
 
 class _Started(Exception):
