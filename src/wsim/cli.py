@@ -13,11 +13,12 @@ shortest round-trip representations.  Tables are written as their rows
 are made: `wstate`, `witness-scan` and `verify` make each row when it is
 written, from results computed and checked before the first, and hold no
 table of rows.  `teleport` computes every row before it writes any, since
-its checks run inside the row workers, so a late error still leaves
-stdout empty.  Runs with equal arguments and seed produce byte-identical
-output regardless of --jobs, which hands each worker process whole blocks
-of 16 contiguous sweep or --optimize rows (their simulated residuals run
-as one block) or single --critical-eta rows.  Exit codes: 0 on success,
+a row's resource is built and checked only when its block runs, so an
+error in the last block still leaves stdout empty.  Runs with equal
+arguments and seed produce byte-identical output regardless of --jobs,
+which hands each worker process whole blocks of 16 contiguous rows in
+every mode (sweep and --optimize blocks simulate their residuals
+together).  Exit codes: 0 on success,
 1 when `verify` finds a failing claim, 2 on usage or validation errors.
 A request that would not fit a 1 GiB memory budget is such an error,
 found before any work: `wstate` and `teleport` above 1,080,223 modes,
@@ -296,36 +297,38 @@ def _optimize_rows(block) -> list[dict]:
     return _report_rows("optimal", reports)
 
 
-def _critical_row(task) -> dict:
-    n, m, detector = task
-    return {
-        "row_type": "critical",
-        "N": n,
-        "m": m,
-        "detector": detector,
-        "critical_eta": critical_eta(n, m, detector),
-    }
+def _critical_rows(block) -> list[dict]:
+    return [
+        {
+            "row_type": "critical",
+            "N": n,
+            "m": m,
+            "detector": detector,
+            "critical_eta": critical_eta(n, m, detector),
+        }
+        for n, m, detector in block
+    ]
 
 
-def _run_tasks(worker, tasks, jobs: int) -> list:
-    # never more workers than tasks or CPUs, whatever --jobs asks for
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    # imported here: the process pool and multiprocessing cost every
-    # command about 1 MiB and 17 ms of import, and one worker needs neither
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves task order, so the output is schedule-independent
-        return list(pool.map(worker, tasks))
-
-
-def _run_blocks(worker, tasks, jobs: int) -> list[dict]:
+def _run_blocks(worker, tasks, jobs: int):
     """The rows of ``worker`` over contiguous blocks of _BLOCK tasks, one
-    task per row, in task order; a worker process takes whole blocks."""
+    task per row, in task order; a worker process takes whole blocks.
+    Every block finishes before the rows are returned, as a generator over
+    the finished blocks: a row's resource check can fail in any block."""
     blocks = [tasks[start : start + _BLOCK] for start in range(0, len(tasks), _BLOCK)]
-    return [row for rows in _run_tasks(worker, blocks, jobs) for row in rows]
+    # never more workers than blocks or CPUs, whatever --jobs asks for
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
+        done = [worker(block) for block in blocks]
+    else:
+        # imported here: the process pool and multiprocessing cost every
+        # command about 1 MiB and 17 ms of import, and one worker needs neither
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # map preserves task order, so the output is schedule-independent
+            done = list(pool.map(worker, blocks))
+    return (row for rows in done for row in rows)
 
 
 def cmd_teleport(args, out) -> int:
@@ -338,19 +341,19 @@ def cmd_teleport(args, out) -> int:
         per_m = len(etas)
     else:
         per_m = len(etas) * _grid_size(args.theta)
-    ms = sum(len(range(n - 1)) if args.m is None else _grid_size(args.m) for n in ns)
+    # without --m, an N below 2 still has one row, m = 0, which
+    # TeleportParams refuses in row order
+    ms = sum(max(n - 1, 1) if args.m is None else _grid_size(args.m) for n in ns)
     _admit("rows", ms * per_m, _MAX_ROWS)
 
-    def ms_for(n: int) -> list[int]:
-        if args.m is None:
-            return list(range(n - 1))
-        return _parse_grid(args.m, int, "m")
+    def ms_for(n: int):
+        return range(max(n - 1, 1)) if args.m is None else _parse_grid(args.m, int, "m")
 
     if args.critical_eta:
         tasks = [(n, m, args.detector) for n in ns for m in ms_for(n)]
         for n, m, _ in tasks:
             TeleportParams(n, m, 1.0, 0.0)
-        rows = _run_tasks(_critical_row, tasks, args.jobs)
+        worker = _critical_rows
     elif args.optimize:
         tasks = [
             (n, m, eta, args.detector, args.events)
@@ -358,7 +361,7 @@ def cmd_teleport(args, out) -> int:
             for m in ms_for(n)
             for eta in etas
         ]
-        rows = _run_blocks(_optimize_rows, tasks, args.jobs)
+        worker = _optimize_rows
     else:
         if args.theta is None:
             raise ValueError("provide --theta, or use --optimize / --critical-eta")
@@ -370,8 +373,8 @@ def cmd_teleport(args, out) -> int:
             for eta in etas
             for theta in thetas
         ]
-        rows = _run_blocks(_sweep_rows, tasks, args.jobs)
-    _emit(args, out, _TELEPORT_HEADER, rows)
+        worker = _sweep_rows
+    _emit(args, out, _TELEPORT_HEADER, _run_blocks(worker, tasks, args.jobs))
     return 0
 
 

@@ -21,6 +21,7 @@ from wsim import DetectorModel, cli, scan_all_pairs, witness_ratio_closed_form
 from wsim.circuits import coefficients_from_angles, symmetric_angles
 from wsim.cli import main
 from wsim.config import TOL
+from wsim.teleport import conditional_resource
 
 
 def run(capsys, argv):
@@ -294,9 +295,15 @@ class TestOutputPlumbing:
         assert target.read_text() == ""
 
 
+_THETAS_9 = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
+_TWO_PARTIES = "the network needs at least two parties"
+# 27 sweep rows; the bad efficiency is row 19, in the second block of 16
+_ROW_19 = ["teleport", "--N", "3", "--m", "0", "--eta", "0.5,0.9,2", "--theta", _THETAS_9]
+
+
 class TestTablesWrittenAsMade:
-    """wstate, witness-scan and verify hand _emit a generator of rows, which
-    it reads once."""
+    """Every command hands _emit a generator of rows, which it reads once;
+    teleport's reads blocks that have all finished."""
 
     @pytest.fixture(autouse=True)
     def shared(self, monkeypatch, verification):
@@ -331,13 +338,43 @@ class TestTablesWrittenAsMade:
             # last check before its rows are made, refuses it
             (["witness-scan", "--coeffs", ",".join(["0.5773502691903475"] * 3)], "squared norm"),
             (["verify", "--tolerance", "nan"], "tolerance"),
+            # an N below 2 has its m = 0 row, which TeleportParams refuses
+            (["teleport", "--N", "1", "--theta", "0.5"], _TWO_PARTIES),
+            (["teleport", "--N", "0", "--optimize"], _TWO_PARTIES),
+            (["teleport", "--N", "-4", "--critical-eta"], _TWO_PARTIES),
+            (["teleport", "--N", "2,1", "--theta", "0.5"], _TWO_PARTIES),
+            (_ROW_19 + ["--jobs", "1"], "efficiency 2.0 outside (0, 1]"),
+            (_ROW_19 + ["--jobs", "2"], "efficiency 2.0 outside (0, 1]"),
         ],
-        ids=["wstate", "witness-scan", "verify"],
+        ids=[
+            "wstate",
+            "witness-scan",
+            "verify",
+            "teleport-N1",
+            "optimize-N0",
+            "critical-N-4",
+            "teleport-N2,1",
+            "second-block-jobs1",
+            "second-block-jobs2",
+        ],
     )
     def test_an_error_leaves_stdout_empty(self, capsys, argv, message, fmt):
         code, out, err = run(capsys, argv + fmt)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+    def test_a_late_resource_error_leaves_stdout_empty(self, capsys, monkeypatch, fmt):
+        # N = 4 owns the second block of this 18-row sweep: a runner that
+        # wrote the first block before running the second would fail here
+        def refuse_n4(params):
+            if params.N == 4:
+                raise ValueError("resource refused")
+            return conditional_resource(params)
+
+        monkeypatch.setattr("wsim.teleport.conditional_resource", refuse_n4)
+        argv = ["teleport", "--N", "3,4", "--m", "0", "--theta", _THETAS_9, *fmt]
+        assert run(capsys, argv) == (2, "", "error: resource refused\n")
 
     @pytest.mark.parametrize(
         "fmt, bound", [([], 2**20), (["--json"], 450 * 19_900)], ids=["csv", "json"]
@@ -397,7 +434,7 @@ def _spy_on_first_work(monkeypatch, spy):
         "wsim.cli._parse_coefficients",
         "wsim.cli.symmetric_angles",
         "wsim.cli.scan_all_pairs",
-        "wsim.cli._run_tasks",
+        "wsim.cli._run_blocks",
         "wsim.teleport._w_amplitudes",
     ):
         monkeypatch.setattr(target, spy)
@@ -503,8 +540,10 @@ class TestAdmission:
             (["--eta", "0.5,0.9", "--optimize"], 10),
             (["--m", "0", "--eta", "0.5,0.9", "--optimize"], 4),
             (["--eta", "0.5,0.9", "--critical-eta"], 5),
+            # this --N replaces the first; N = 0 counts its one m = 0 row
+            (["--N", "0,3", "--eta", "0.5,0.9", "--theta", "0.1"], 6),
         ],
-        ids=["sweep", "sweep-m", "optimize", "optimize-m", "critical"],
+        ids=["sweep", "sweep-m", "optimize", "optimize-m", "critical", "sweep-N0"],
     )
     def test_rows_are_counted_from_the_grids(self, capsys, monkeypatch, argv, rows):
         # N = 3 and 4 give 2 + 3 cooperation counts when --m is absent
@@ -586,15 +625,17 @@ class TestJobsByteIdentity:
 @pytest.mark.parametrize(
     "argv, count",
     [
-        # 24 sweep rows and 28 optimized rows: a full block and a partial one
+        # 24 sweep, 28 optimized and 27 critical rows: a full block and a
+        # partial one
         (
             ["teleport", "--N", "3,4,5", "--m", "0,1", "--eta", "0.4,0.9", "--theta", "0.3,1.1"]
             + ["--detector", "onoff", "--events", "both"],
             24,
         ),
         (["teleport", "--N", "3,4,5,6", "--eta", "0.5,0.9", "--optimize", "--events", "both"], 28),
+        (["teleport", "--N", "3,4,5,6,7,8", "--critical-eta"], 27),
     ],
-    ids=["sweep", "optimize"],
+    ids=["sweep", "optimize", "critical"],
 )
 def test_jobs_byte_identity_across_blocks(argv, count):
     code1, out1 = run_captured(argv + ["--jobs", "1"])
@@ -611,7 +652,7 @@ class TestJobsCap:
 
     @pytest.fixture
     def pool(self, monkeypatch):
-        # _run_tasks imports the pool only when it starts workers
+        # _run_blocks imports the pool only when it starts workers
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
         return _RecordingPool
