@@ -20,9 +20,11 @@ resources at N = 1,024 for four cooperation counts, two lines at scale
 grid run with two worker processes, and JSON runs of `wstate`,
 `witness-scan` (with the vacuum pair) and `verify`, so that every
 subcommand's JSON writer is covered (`teleport --N 3 --optimize --json`
-is the teleport one).  The last two lines are 27 critical rows, two blocks
-run by two worker processes, and a sweep whose bad efficiency is its 19th
-row, in the second block: it exits 2 with nothing on stdout.
+is the teleport one).  Then come 27 critical rows, two blocks run by two
+worker processes, and a sweep whose bad efficiency is its 19th row, in the
+second block: it exits 2 with nothing on stdout.  The last line is a sweep
+of D01 rows only, whose blocks hold nothing but kernels that get Bob's
+correction.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ EXAMPLES = [
     "verify --seed 1 --json",
     "teleport --N 3,4,5,6,7,8 --critical-eta --jobs 2",
     "teleport --N 3 --m 0 --eta 0.5,0.9,2 --theta 0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+    "teleport --N 3,5,8 --m 0,1 --eta 0.4,0.9 --theta 0.3,1.2 --events D01 --detector onoff",
 ]
 
 

@@ -345,6 +345,8 @@ def cmd_teleport(args, out) -> int:
     # TeleportParams refuses in row order
     ms = sum(max(n - 1, 1) if args.m is None else _grid_size(args.m) for n in ns)
     _admit("rows", ms * per_m, _MAX_ROWS)
+    # parsed in every mode, as --eta is, though only the sweep reads it
+    thetas = None if args.theta is None else _parse_grid(args.theta, float, "theta")
 
     def ms_for(n: int):
         return range(max(n - 1, 1)) if args.m is None else _parse_grid(args.m, int, "m")
@@ -363,9 +365,8 @@ def cmd_teleport(args, out) -> int:
         ]
         worker = _optimize_rows
     else:
-        if args.theta is None:
+        if thetas is None:
             raise ValueError("provide --theta, or use --optimize / --critical-eta")
-        thetas = _parse_grid(args.theta, float, "theta")
         tasks = [
             (n, m, eta, theta, args.detector, args.events)
             for n in ns

@@ -133,22 +133,28 @@ def condition(rho: DensityOperator, assignments: Mapping[int, PovmElement]) -> D
 def _condition_outcomes_raw(
     space: FockSpace, matrix: np.ndarray, assignments: Mapping[int, PovmElement]
 ) -> tuple[FockSpace, np.ndarray]:
-    """condition on a raw matrix: the reduced space and matrix, unvalidated."""
+    """condition on a raw matrix or (..., dim, dim) stack: the reduced space
+    and matrix, unvalidated.  The partial trace weights each term it reads
+    with the square roots of the POVM weights (_ptrace_raw).  Measuring
+    every mode takes np.trace of the weighted matrix instead, whose
+    diagonal sum runs in numpy's pairwise order."""
     sq = np.sqrt(_povm_weights(space, assignments))
-    weighted = sq[:, None] * matrix * sq[None, :]
     keep = tuple(m for m in range(space.num_modes) if m not in assignments)
     if keep:
-        return _ptrace_raw(space, weighted, keep)
+        return _ptrace_raw(space, matrix, keep, sq)
+    weighted = sq[:, None] * matrix * sq[None, :]
     out_space = FockSpace(0, space.total_cutoff, space.mode_cutoff)
     return out_space, np.trace(weighted, axis1=-2, axis2=-1)[..., None, None]
 
 
 def _povm_weights(space: FockSpace, assignments: Mapping[int, PovmElement]) -> np.ndarray:
-    """Diagonal of the joint POVM element over the basis of ``space``."""
+    """Diagonal of the joint POVM element over the basis of ``space``.  The
+    modes must be integers (Python or numpy) in range; ValueError
+    otherwise."""
     if not assignments:
         raise ValueError("no detector outcomes assigned")
     for mode in assignments:
-        if not 0 <= mode < space.num_modes:
+        if not 0 <= _integer("mode", mode) < space.num_modes:
             raise ValueError(f"mode {mode} out of range")
     weights = np.ones(space.dim)
     for i, occ in enumerate(space.basis):

@@ -286,9 +286,10 @@ def _occupied_sectors(space: FockSpace, matrix: np.ndarray) -> np.ndarray:
 # involved, and is built once per process by the same loop over the basis
 # that a direct implementation would run; plans live in bounded lru_caches
 # and are read-only.  The apply step is one vectorized scatter (unitary: into
-# the embedded matrix, or onto a pure state's amplitude vector), one
-# np.add.at (partial trace) or one fancy-index += (tensor), with every entry
-# added in the loop's order, so the results are bit-identical to the loops.
+# the embedded matrix, or onto a pure state's amplitude vector), one flat
+# np.add.at (partial trace, whose optional weights are detector
+# conditioning) or one fancy-index += (tensor), with every entry added in
+# the loop's order, so the results are bit-identical to the loops.
 #
 # Every apply step also takes a stack: leading axes of the matrix (of the
 # first operand, for the tensor product) are carried through, and each slice
@@ -356,8 +357,9 @@ def _tensor_checked(
 
 @lru_cache(maxsize=256)
 def _ptrace_plan(space: FockSpace, keep: tuple[int, ...]):
-    """Reduced space and (i, j, ki, kj) of every term out[ki, kj] += m[i, j],
-    grouped by the traced modes' occupation in order of first appearance."""
+    """Reduced space and (i, j, i*dim + j, ki*out_dim + kj) of every term
+    out[ki, kj] += m[i, j], grouped by the traced modes' occupation in order
+    of first appearance."""
     traced = tuple(m for m in range(space.num_modes) if m not in keep)
     out_space = FockSpace(len(keep), space.total_cutoff, space.mode_cutoff)
     groups: dict[Occupation, list[tuple[int, int]]] = {}
@@ -368,17 +370,31 @@ def _ptrace_plan(space: FockSpace, keep: tuple[int, ...]):
     terms = [
         (i, j, ki, kj) for members in groups.values() for i, ki in members for j, kj in members
     ]
-    return out_space, _frozen(*np.array(terms, dtype=np.intp).reshape(-1, 4).T.copy())
+    i, j, ki, kj = np.array(terms, dtype=np.intp).reshape(-1, 4).T.copy()
+    return out_space, _frozen(i, j, i * space.dim + j, ki * out_space.dim + kj)
 
 
 def _ptrace_raw(
-    space: FockSpace, matrix: np.ndarray, keep: tuple[int, ...]
+    space: FockSpace, matrix: np.ndarray, keep: tuple[int, ...], sq: np.ndarray | None = None
 ) -> tuple[FockSpace, np.ndarray]:
-    """Partial trace onto ``keep``; leading axes of ``matrix`` are a stack."""
-    out_space, (i, j, ki, kj) = _ptrace_plan(space, keep)
-    out = np.zeros(matrix.shape[:-2] + (out_space.dim, out_space.dim), dtype=complex)
-    np.add.at(out, (..., ki, kj), matrix[..., i, j])
-    return out_space, out
+    """Partial trace onto ``keep``; leading axes of ``matrix`` are a stack.
+
+    With ``sq``, the square roots of a diagonal POVM element's weights over
+    the basis of ``space``, this is detector conditioning: each term
+    m[i, j] is weighted as sq[..., i] * m[i, j] * sq[..., j] before it is
+    added, and the leading axes of ``sq`` broadcast against the stack's.
+    Every term is added in the plan's order by one add.at on a flat index,
+    which numpy runs on its fast path."""
+    out_space, (i, j, flat, kept) = _ptrace_plan(space, keep)
+    terms = matrix.reshape(matrix.shape[:-2] + (-1,)).take(flat, axis=-1)
+    if sq is not None:
+        terms = sq[..., i] * terms
+        terms *= sq[..., j]
+    size = out_space.dim * out_space.dim
+    count = terms.size // len(flat)
+    out = np.zeros(count * size, dtype=complex)
+    np.add.at(out, (size * np.arange(count)[:, None] + kept).ravel(), terms.ravel())
+    return out_space, out.reshape(terms.shape[:-1] + (out_space.dim, out_space.dim))
 
 
 def _check_two_mode_unitary(u) -> np.ndarray:
@@ -607,11 +623,15 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(out_space, out, normalized=rho.normalized)
 
 
+def _check_modes(space: FockSpace, modes: tuple[int, ...]) -> None:
+    if not all(0 <= m < space.num_modes for m in modes):
+        raise ValueError("mode index out of range")
+
+
 def _check_state_modes(state, modes: tuple[int, ...]) -> None:
     if not isinstance(state, (PureState, DensityOperator)):
         raise TypeError("state must be a PureState or DensityOperator")
-    if not all(0 <= m < state.space.num_modes for m in modes):
-        raise ValueError("mode index out of range")
+    _check_modes(state.space, modes)
 
 
 def _pure_from_vector(state: PureState, vector: np.ndarray) -> PureState:
@@ -674,11 +694,14 @@ def overlap_fidelity(rho: DensityOperator, psi: PureState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Operator builders (plain matrices in the canonical basis).
+# Operator builders (plain matrices in the canonical basis).  The mode of a
+# builder must be an integer (Python or numpy) in range; ValueError otherwise.
 # ---------------------------------------------------------------------------
 
 
 def annihilation_matrix(space: FockSpace, mode: int) -> np.ndarray:
+    mode = _integer("mode", mode)
+    _check_modes(space, (mode,))
     out = np.zeros((space.dim, space.dim), dtype=complex)
     for col, occ in enumerate(space.basis):
         n = occ[mode]
@@ -695,6 +718,8 @@ def creation_matrix(space: FockSpace, mode: int) -> np.ndarray:
 
 
 def number_matrix(space: FockSpace, mode: int) -> np.ndarray:
+    mode = _integer("mode", mode)
+    _check_modes(space, (mode,))
     return np.diag(np.array([occ[mode] for occ in space.basis], dtype=complex))
 
 

@@ -39,7 +39,6 @@ from .config import TOL
 from .detection import (
     _DETECTOR_KINDS,
     DetectorModel,
-    _condition_outcomes_raw,
     _povm_weights,
     povm_number,
     povm_onoff,
@@ -56,7 +55,7 @@ from .fock import (
     _integer,
     _phase_raw,
     _positive_count,
-    _ptrace_plan,
+    _ptrace_raw,
     _tensor_checked,
     _tensor_plan,
     _unitary_raw,
@@ -482,7 +481,8 @@ def _bob_states(
     density, the tensor product with the resource and Bob's state are
     validated as DensityOperators would be (_check_density_stack), and the
     tensor product's photon-cutoff check runs per slice.  The splitter,
-    the conditioning and the correction run through the raw engine.
+    the conditioning and the correction run through the raw engine; the
+    conditioning reads the event's cached weights (_event_weight_sqrt).
     """
     _check_density_stack(qubits, normalized=True)
     resource = conditional_resource(params)
@@ -490,8 +490,8 @@ def _bob_states(
     _check_density_stack(probe, normalized=resource.normalized)
     u = _check_two_mode_unitary(bell_splitter(params.theta))
     mat = _unitary_raw(space, probe, (0, 1), u)
-    space, mat = _condition_outcomes_raw(
-        space, mat, _event_assignments(event, params.eta, params.detector_kind)
+    space, mat = _ptrace_raw(
+        space, mat, (2,), _event_weight_sqrt(event, params.eta, params.detector_kind)
     )
     if event is BellEvent.D01:
         mat = _phase_raw(space, mat, 0, math.pi)
@@ -536,16 +536,13 @@ def _operator_basis_maps() -> tuple[np.ndarray, ...]:
     """Flat indices of the moments route: (target, source) place the
     resource into a (4, 10, 10) stack (slot 2j + k, row, col) next to each
     qubit basis element |j><k|, taken from the tensor plan of the qubit
-    mode with the resource; (traced, kept) are the flat indices i*10 + j
-    and ki*3 + kj of each term out[ki, kj] += m[i, j] of the partial trace
-    onto Bob's mode, in the order of its plan."""
+    mode with the resource."""
     _, (rows, cols, ia, ja, ib, jb) = _tensor_plan(_QUBIT_SPACE, _RESOURCE_SPACE)
     sel = (ia < 2) & (ja < 2)
     dim = _JOINT_SPACE.dim
     target = ((2 * ia[sel] + ja[sel]) * dim + rows[sel]) * dim + cols[sel]
-    bob, (i, j, ki, kj) = _ptrace_plan(_JOINT_SPACE, (2,))
     source = ib[sel] * _RESOURCE_SPACE.dim + jb[sel]
-    return _frozen(target, source, i * dim + j, ki * bob.dim + kj)
+    return _frozen(target, source)
 
 
 @lru_cache(maxsize=4096)
@@ -557,14 +554,13 @@ def _bell_unitary(theta: float) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _event_weight_sqrt(event: BellEvent, eta: float, kind: str) -> np.ndarray:
-    """The square roots of the event's POVM weights on the joint space, at
-    the row i and at the column j of each term m[i, j] of the partial trace
-    onto Bob's mode: a read-only (2, T) complex array.  Complex, as the
-    products with the complex entries would cast them anyway."""
-    _, (i, j, _, _) = _ptrace_plan(_JOINT_SPACE, (2,))
+    """The square roots of the event's POVM weights over the basis of the
+    joint space, the weights with which _ptrace_raw conditions on the
+    event: a read-only (10,) complex vector.  Complex, as the products with
+    the complex entries would cast them anyway."""
     w = np.sqrt(_povm_weights(_JOINT_SPACE, _event_assignments(event, eta, kind)))
-    (pair,) = _frozen(np.array([w[i], w[j]], dtype=complex))
-    return pair
+    (sq,) = _frozen(w.astype(complex))
+    return sq
 
 
 # rows per block of the moments route: a block's (B, 4, 10, 10) complex
@@ -575,59 +571,20 @@ _BLOCK = 16
 
 def _transported(resources: np.ndarray, splitters: np.ndarray) -> np.ndarray:
     """The four operator-basis inputs pushed through tensor + splitter, for
-    a block of B rows, as the (B, 4, T) entries m[i, j] of each 10x10
-    result m that the partial trace onto Bob's mode reads, one per term of
-    its plan.
+    a block of B rows, as a (B, 4, 10, 10) stack on the joint space.
 
     ``resources`` is a (B, 6, 6) stack of conditional resources, or a (1,
     6, 6) one that every row shares (a grid of angles); ``splitters`` is
     the (B, 10, 10) stack of Bell splitters embedded in the joint space.
-    Each m is u @ t @ u^H, bit for bit the per-row route's."""
-    target, source, traced, _ = _operator_basis_maps()
+    Each matrix is u @ t @ u^H, bit for bit the per-row route's."""
+    target, source = _operator_basis_maps()
     count, dim = len(splitters), _JOINT_SPACE.dim
     t = np.zeros((count, 4 * dim * dim), dtype=complex)
     t[:, target] = resources.reshape(len(resources), -1).take(source, axis=1)
     t = t.reshape(count, 4, dim, dim)
     u = splitters[:, None]
     # the product overwrites t, which is read no more
-    mats = np.matmul(u @ t, u.conj().swapaxes(-1, -2), out=t)
-    return mats.reshape(count, 4, -1).take(traced, axis=2)
-
-
-@lru_cache(maxsize=64)
-def _trace_index(count: int) -> np.ndarray:
-    """The add.at index of _condition_kernels: for ``count`` 3x3 kernels
-    stored one after another in a flat array, the entry ki*3 + kj of its
-    kernel that each term of the partial trace onto Bob's mode adds to,
-    kernel by kernel in the plan's order.  A one-dimensional index, so that
-    numpy runs add.at on its fast path."""
-    kept = _operator_basis_maps()[3]
-    (index,) = _frozen((9 * np.arange(count)[:, None] + kept).ravel())
-    return index
-
-
-def _condition_kernels(entries: np.ndarray, sqw: np.ndarray, d01: int) -> np.ndarray:
-    """Condition transported inputs on detection events and trace out
-    Alice's modes: for the (..., 4, T) entries of _transported, the
-    (..., 4, 3, 3) kernels on Bob's mode.  ``sqw`` holds each event's
-    weights from _event_weight_sqrt, a (..., 2, T) array whose leading axes
-    broadcast against those of ``entries``.  From index ``d01`` on along the
-    first axis the kernels are the D01 event's, and get Bob's pi
-    correction.
-
-    Each term m[i, j] of the trace is weighted as sqw[i] * m[i, j] * sqw[j]
-    and added in the plan's order, elementwise, so each kernel is bit for
-    bit the per-row route's."""
-    weighted = sqw[..., None, 0, :] * entries
-    weighted *= sqw[..., None, 1, :]
-    count = weighted.size // weighted.shape[-1]
-    k = np.zeros(count * 9, dtype=complex)
-    np.add.at(k, _trace_index(count), weighted.ravel())
-    k = k.reshape(weighted.shape[:-1] + (3, 3))
-    if d01 < len(k):
-        k[d01:, ..., 1, :] *= -1.0
-        k[d01:, ..., :, 1] *= -1.0
-    return k
+    return np.matmul(u @ t, u.conj().swapaxes(-1, -2), out=t)
 
 
 def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
@@ -636,19 +593,27 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
     3, 3) stack, all D10 kernels first and then all D01 kernels, so that
     each row meets its events in order.  Each row has its own resource
     (from conditional_resource), splitter angle (_bell_unitary's cache),
-    efficiency, detector kind and event set."""
-    entries = _transported(
+    efficiency, detector kind and event set.
+
+    One _ptrace_raw call conditions every kernel's transported inputs on
+    its event (_event_weight_sqrt) and traces out Alice's modes, so each
+    kernel is bit for bit the per-row route's; the D01 kernels then get
+    Bob's pi correction, a sign flip of his one-photon row and column."""
+    mats = _transported(
         np.array([conditional_resource(p).matrix for p in rows]),
         np.array([_bell_unitary(p.theta) for p in rows]),
     )
-    index, sqw = [], []
+    index, sq = [], []
     for event in (BellEvent.D10, BellEvent.D01):
         d01 = len(index)
         for b, p in enumerate(rows):
             if event in p.events:
                 index.append(b)
-                sqw.append(_event_weight_sqrt(event, p.eta, p.detector_kind))
-    return index, _condition_kernels(entries[index], np.array(sqw), d01)
+                sq.append(_event_weight_sqrt(event, p.eta, p.detector_kind))
+    _, kernels = _ptrace_raw(_JOINT_SPACE, mats[index], (2,), np.array(sq)[:, None])
+    kernels[d01:, :, 1, :] *= -1.0
+    kernels[d01:, :, :, 1] *= -1.0
+    return index, kernels
 
 
 # Bloch moments of the amplitude monomials appearing in the fidelity:
@@ -1046,12 +1011,13 @@ def nonadvantageous_bound(
     (a phase shift, sampled on {0, pi} plus a uniform grid) with
     number-resolving detectors.  Events with vanishing probability at a
     grid point contribute nothing there.  The angles run in blocks of 16
-    (_BLOCK) through the moments route with one shared resource, all four
-    rejected events at once.  Each block builds its splitters uncached,
-    since a grid angle is used once per call, and as one stack
-    (_embedded_real_unitaries, bit for bit the per-angle splitters):
-    memory is bounded by one block's stacks, not by a cache of per-angle
-    splitters.  n_theta and n_phase must be integers of at least 1 (an
+    (_BLOCK) through the moments route with one shared resource: one
+    _ptrace_raw call per block conditions on all four rejected events at
+    once, with each event's weights from _event_weight_sqrt.  Each block
+    builds its splitters uncached, since a grid angle is used once per
+    call, and as one stack (_embedded_real_unitaries, bit for bit the
+    per-angle splitters): memory is bounded by one block's stacks, not by
+    a cache of per-angle splitters.  n_theta and n_phase must be integers of at least 1 (an
     empty grid would bound nothing); ValueError otherwise.
     """
     n_theta = _positive_count("n_theta", n_theta)
@@ -1064,17 +1030,16 @@ def nonadvantageous_bound(
     thetas = np.linspace(0.0, math.pi / 2.0, n_theta)
     resource = conditional_resource(base).matrix[None]
     # the rejected events' weights, one row per event
-    sqw = np.array([_event_weight_sqrt(event, base.eta, base.detector_kind) for event in REJECTED])
+    sq = np.array([_event_weight_sqrt(event, base.eta, base.detector_kind) for event in REJECTED])
     best = np.zeros(len(REJECTED))
     for start in range(0, n_theta, _BLOCK):
         block = thetas[start : start + _BLOCK].tolist()
         splitters = _embedded_real_unitaries(
             _JOINT_SPACE, (0, 1), np.stack([bell_splitter(theta) for theta in block])
         )
-        entries = _transported(resource, splitters)
-        # kernels[angle, event, slot]; no rejected event gets the D01
-        # correction, so it starts past the last angle
-        kernels = _condition_kernels(entries[:, None], sqw, len(entries))
+        mats = _transported(resource, splitters)
+        # kernels[angle, event, slot]; no rejected event gets Bob's correction
+        _, kernels = _ptrace_raw(_JOINT_SPACE, mats[:, None], (2,), sq[:, None])
         k00, k01, k10, k11 = np.moveaxis(kernels, 2, 0)
         int_p = np.real(np.trace(k11, axis1=-2, axis2=-1) + np.trace(k00, axis1=-2, axis2=-1))
         int_p = int_p / 2.0

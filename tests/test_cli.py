@@ -162,12 +162,35 @@ class TestTeleport:
         assert code == 2
         assert "cooperating count" in err
 
-    @pytest.mark.parametrize("flag", ["--N", "--m", "--eta", "--theta"])
-    def test_empty_grid_rejected(self, capsys, flag):
+    @pytest.mark.parametrize(
+        "flag, value, mode",
+        [
+            ("--N", "", []),
+            ("--m", "", []),
+            ("--eta", "", []),
+            ("--theta", "", []),
+            # --theta is parsed in every mode, though only the sweep reads it
+            ("--theta", "", ["--optimize"]),
+            ("--theta", "abc", ["--optimize"]),
+            ("--theta", "", ["--critical-eta"]),
+            ("--theta", "abc", ["--critical-eta"]),
+        ],
+        ids=[
+            "--N",
+            "--m",
+            "--eta",
+            "--theta",
+            "--theta-optimize",
+            "--theta-abc-optimize",
+            "--theta-critical-eta",
+            "--theta-abc-critical-eta",
+        ],
+    )
+    def test_empty_grid_rejected(self, capsys, flag, value, mode):
         argv = {"--N": "3", "--m": "0", "--eta": "0.5", "--theta": "0.4"}
-        argv[flag] = ""
-        code, out, err = run(capsys, ["teleport", *itertools.chain(*argv.items())])
-        assert (code, out, err) == (2, "", f"error: could not parse {flag} value ''\n")
+        argv[flag] = value
+        code, out, err = run(capsys, ["teleport", *itertools.chain(*argv.items()), *mode])
+        assert (code, out, err) == (2, "", f"error: could not parse {flag} value {value!r}\n")
 
     def test_sweep_needs_an_angle(self, capsys):
         code, _, err = run(capsys, ["teleport", "--N", "3"])

@@ -269,6 +269,13 @@ class TestPlansEqualLoops:
     def test_partial_trace(self, space):
         rng = np.random.default_rng(space.dim)
         matrix = random_matrix(rng, space.dim)
+        # weighted: detector conditioning, one matrix and a (2, 3) stack
+        # whose weights, of shape (2, 1, dim), differ from slice to slice
+        sq = np.sqrt(rng.random(space.dim))
+        stack = np.stack([random_matrix(rng, space.dim) for _ in range(6)]).reshape(
+            2, 3, space.dim, space.dim
+        )
+        stack_sq = np.sqrt(rng.random((2, 1, space.dim)))
         modes = range(space.num_modes)
         for size in range(1, space.num_modes + 1):
             for keep in itertools.permutations(modes, size):
@@ -276,6 +283,15 @@ class TestPlansEqualLoops:
                 ref_space, ref = ptrace_loop(space, matrix, keep)
                 assert out_space == ref_space
                 assert_same_bits(out, ref)
+                _, out = fock._ptrace_raw(space, matrix, keep, sq)
+                _, ref = ptrace_loop(space, sq[:, None] * matrix * sq[None, :], keep)
+                assert_same_bits(out, ref)
+                _, out = fock._ptrace_raw(space, stack, keep, stack_sq)
+                assert out.shape[:2] == (2, 3)
+                for s, x in np.ndindex(2, 3):
+                    w = stack_sq[s, 0]
+                    _, ref = ptrace_loop(space, w[:, None] * stack[s, x] * w[None, :], keep)
+                    assert_same_bits(out[s, x], ref)
 
     def test_partial_trace_of_a_stack_is_the_stack_of_traces(self):
         space = FockSpace(3)
@@ -464,12 +480,6 @@ class TestChainChecksOnce:
         assert_same_bits(stack, expected)
 
 
-# the flat entries i*10 + j of the joint-space matrices that the partial
-# trace onto Bob's mode reads: _transported returns only these
-_, (_I, _J, _, _) = fock._ptrace_plan(FockSpace(3), (2,))
-TRACED = _I * 10 + _J
-
-
 class TestStackedKernels:
     def test_angle_stack_equals_single_angles(self):
         # the grid form: one shared resource, the splitters built as one stack
@@ -479,10 +489,10 @@ class TestStackedKernels:
             teleport._JOINT_SPACE, (0, 1), np.stack([bell_splitter(theta) for theta in thetas])
         )
         stack = teleport._transported(teleport.conditional_resource(base).matrix[None], splitters)
-        assert stack.shape == (7, 4, len(TRACED))
+        assert stack.shape == (7, 4, 10, 10)
         for t, theta in enumerate(thetas):
             single = oracles.transported(dataclasses.replace(base, theta=float(theta)))
-            assert_same_bits(stack[t], single.reshape(4, -1)[:, TRACED])
+            assert_same_bits(stack[t], single)
 
     def test_stack_equals_two_dimensional_products(self):
         params = TeleportParams(4, 1, 0.8, 0.7, "onoff", "both")
@@ -497,7 +507,7 @@ class TestStackedKernels:
             _, t = fock._tensor_raw(
                 FockSpace(1), qubit, teleport._RESOURCE_SPACE, teleport.conditional_resource(params).matrix
             )
-            assert_same_bits(stack[slot], (u @ t @ u.conj().T).reshape(-1)[TRACED])
+            assert_same_bits(stack[slot], u @ t @ u.conj().T)
 
     @pytest.mark.parametrize("size", [1, 32, 1000])
     def test_stacked_splitters_equal_per_angle(self, size):

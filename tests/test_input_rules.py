@@ -21,14 +21,18 @@ from wsim import (
     FockSpace,
     SplitterAngles,
     TeleportParams,
+    annihilation_matrix,
     apply_phase_shift,
     apply_two_mode_unitary,
     averaged_fidelity_curve,
     bloch_average,
     canonical_basis,
     coefficients_from_angles,
+    condition,
+    creation_matrix,
     mc_averaged,
     nonadvantageous_bound,
+    number_matrix,
     partial_trace,
     povm_moments,
     povm_number,
@@ -102,6 +106,18 @@ INTEGER_INPUTS = {
         lambda v: apply_phase_shift(_pair_state(), v, 0.3).matrix.tobytes(),
         1,
     ),
+    "condition.assignments": (
+        "mode",
+        lambda v: condition(_pair_state(), {v: povm_onoff(True, DET)}).matrix.tobytes(),
+        1,
+    ),
+    "number_matrix.mode": ("mode", lambda v: number_matrix(FockSpace(2), v).tobytes(), 1),
+    "annihilation_matrix.mode": (
+        "mode",
+        lambda v: annihilation_matrix(FockSpace(2), v).tobytes(),
+        1,
+    ),
+    "creation_matrix.mode": ("mode", lambda v: creation_matrix(FockSpace(2), v).tobytes(), 1),
 }
 NOT_INTEGERS = [True, False, np.True_, 2.5, 1.7, 3.0, -0.5, "3", None, 1 + 0j]
 
@@ -168,6 +184,13 @@ def test_numpy_sizes_become_python_ints():
         ("bloch_average.n_azimuth", -1, "n_azimuth -1 must be at least 1"),
         ("mc_averaged.chunks", 0, "chunks 0 must be at least 1"),
         ("nonadvantageous_bound.n_theta", 0, "n_theta 0 must be at least 1"),
+        ("condition.assignments", -1, "mode -1 out of range"),
+        ("number_matrix.mode", -1, "mode index out of range"),
+        ("number_matrix.mode", 2, "mode index out of range"),
+        ("annihilation_matrix.mode", -1, "mode index out of range"),
+        ("annihilation_matrix.mode", 2, "mode index out of range"),
+        ("creation_matrix.mode", -1, "mode index out of range"),
+        ("creation_matrix.mode", 2, "mode index out of range"),
     ],
 )
 def test_range_messages(entry, value, message):
