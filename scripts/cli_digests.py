@@ -22,9 +22,10 @@ grid run with two worker processes, and JSON runs of `wstate`,
 subcommand's JSON writer is covered (`teleport --N 3 --optimize --json`
 is the teleport one).  Then come 27 critical rows, two blocks run by two
 worker processes, and a sweep whose bad efficiency is its 19th row, in the
-second block: it exits 2 with nothing on stdout.  The last line is a sweep
-of D01 rows only, whose blocks hold nothing but kernels that get Bob's
-correction.
+second block: it exits 2 with nothing on stdout.  Next is a sweep of D01
+rows only, whose blocks hold nothing but kernels that get Bob's
+correction.  The last seven lines run `verify` at seeds 4-10, so that with
+the workload lines every seed of 1-10 is covered.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ EXAMPLES = [
     "teleport --N 3,4,5,6,7,8 --critical-eta --jobs 2",
     "teleport --N 3 --m 0 --eta 0.5,0.9,2 --theta 0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
     "teleport --N 3,5,8 --m 0,1 --eta 0.4,0.9 --theta 0.3,1.2 --events D01 --detector onoff",
-]
+] + [f"verify --seed {seed}" for seed in range(4, 11)]
 
 
 def _workloads():

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .fock import FockSpace, PureState, _check_norm_sq, _check_two_mode_unitaries, _integer
+from .fock import (
+    FockSpace,
+    PureState,
+    _check_norm_sq,
+    _check_two_mode_unitaries,
+    _integer,
+    _norm_sq,
+)
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,7 @@ class WCoefficients:
         alphas = tuple(complex(a) for a in self.alphas)
         if len(alphas) < 2:
             raise ValueError("need at least two modes")
-        norm = sum(abs(a) ** 2 for a in alphas)
+        norm = _norm_sq(alphas)
         if not abs(norm - 1.0) <= TOL.norm * len(alphas):
             raise ValueError(f"coefficients are not normalized (norm^2 = {norm})")
         object.__setattr__(self, "alphas", alphas)
@@ -211,7 +218,7 @@ def _mode_amplitudes(alphas) -> np.ndarray:
     each zero is stored as +0, as PureState stores it.
     """
     w = _as_coefficients(alphas)
-    _check_norm_sq(sum(abs(a) ** 2 for a in w.alphas), post_selected=False)
+    _check_norm_sq(_norm_sq(w.alphas), post_selected=False)
     return np.array(w.alphas, dtype=complex) + 0.0
 
 

@@ -214,10 +214,11 @@ def cmd_witness_scan(args, out) -> int:
     report = scan_all_pairs(coeffs, det)
 
     # witness_ratio_closed_form raises only on a pair weight above
-    # 1 + TOL.norm.  scan_all_pairs has checked the squared norm, summed mode
-    # by mode in mode order, against that bound, and a rounded sum of
-    # nonnegative terms never falls when a term is added, so no pair weight
-    # exceeds it: these rows cannot raise once the first is written
+    # 1 + TOL.norm.  scan_all_pairs has checked the squared norm, the
+    # correctly rounded sum of every |a_k|^2, against that bound.  A pair
+    # weight is the rounded |a_i|^2 + |a_j|^2 of the same squares, and
+    # rounding is monotone, so it never exceeds the squared norm: these rows
+    # cannot raise once the first is written
     def rows():
         for res in report.results:
             i, j = res.pair

@@ -165,7 +165,7 @@ class PureState:
 
     @cached_property
     def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return _norm_sq(self.amplitudes.values())
 
     def to_vector(self) -> np.ndarray:
         v = np.zeros(self.space.dim, dtype=complex)
@@ -178,6 +178,17 @@ class PureState:
         return DensityOperator(
             self.space, np.outer(v, v.conj()), normalized=abs(self.norm_sq - 1.0) <= TOL.norm
         )
+
+
+def _norm_sq(amplitudes) -> float:
+    """The squared norm of an iterable of amplitudes: the sum of |a|^2,
+    correctly rounded (math.fsum), or inf once a square or the sum
+    overflows.  For two amplitudes it equals |a|^2 + |b|^2 in float
+    arithmetic, which also rounds the exact sum once."""
+    try:
+        return math.fsum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:
+        return math.inf
 
 
 def _check_norm_sq(n2: float, post_selected: bool) -> None:

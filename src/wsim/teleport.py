@@ -48,17 +48,15 @@ from .fock import (
     FockSpace,
     PureState,
     _check_density_stack,
-    _check_two_mode_unitary,
     _embedded_real_unitaries,
     _embedded_unitary,
     _frozen,
     _integer,
-    _phase_raw,
+    _norm_sq,
     _positive_count,
     _ptrace_raw,
     _tensor_checked,
     _tensor_plan,
-    _unitary_raw,
 )
 from .optimize import bisect_root, golden_section_max
 
@@ -161,7 +159,7 @@ class UnknownQubit:
 
     def __post_init__(self) -> None:
         a, b = complex(self.a), complex(self.b)
-        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= TOL.norm:
+        if not abs(_norm_sq((a, b)) - 1.0) <= TOL.norm:
             raise ValueError("qubit amplitudes are not normalized")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -459,10 +457,8 @@ def bob_state(event, qubit: UnknownQubit, params: TeleportParams) -> DensityOper
 
     Pipeline: qubit tensor resource -> splitter on (qubit, Alice) ->
     detector conditioning on both outputs -> Bob's pi correction for the
-    one-photon-at-d event.  The trace is the event probability.
-
-    This is the one-qubit call of _bob_states, the pipeline that
-    simulate_averaged's quadrature runs on all of its nodes at once.
+    one-photon-at-d event.  The trace is the event probability.  This is
+    the one-qubit call of _bob_states.
     """
     event = _accepted_event(event)
     v = qubit.state().to_vector()
@@ -474,27 +470,23 @@ def _bob_states(
     event: BellEvent, qubits: np.ndarray, params: TeleportParams
 ) -> tuple[FockSpace, np.ndarray]:
     """Bob's states for a (S, 3, 3) stack of normalized qubit densities on
-    the qubit mode, as the matching (S, 3, 3) stack; slice s is bit for bit
-    the matrix of bob_state for qubit s.
+    the qubit mode, as the matching (S, 3, 3) stack on Bob's mode.
 
     Every slice gets the checks of the one-qubit pipeline: the qubit
     density, the tensor product with the resource and Bob's state are
     validated as DensityOperators would be (_check_density_stack), and the
-    tensor product's photon-cutoff check runs per slice.  The splitter,
-    the conditioning and the correction run through the raw engine; the
-    conditioning reads the event's cached weights (_event_weight_sqrt).
+    tensor product's photon-cutoff check runs per slice.  The splitter is
+    _bell_unitary's, applied as u rho u^H, and _bob_modes conditions on the
+    event and applies Bob's correction, as for the block kernels.
     """
     _check_density_stack(qubits, normalized=True)
     resource = conditional_resource(params)
     space, probe = _tensor_checked(_QUBIT_SPACE, qubits, resource.space, resource.matrix)
     _check_density_stack(probe, normalized=resource.normalized)
-    u = _check_two_mode_unitary(bell_splitter(params.theta))
-    mat = _unitary_raw(space, probe, (0, 1), u)
-    space, mat = _ptrace_raw(
-        space, mat, (2,), _event_weight_sqrt(event, params.eta, params.detector_kind)
-    )
-    if event is BellEvent.D01:
-        mat = _phase_raw(space, mat, 0, math.pi)
+    u = _bell_unitary(params.theta)
+    sq = _event_weight_sqrt(event, params.eta, params.detector_kind)
+    flipped = 0 if event is BellEvent.D01 else len(probe)
+    space, mat = _bob_modes(u @ probe @ u.conj().T, sq, flipped)
     _check_density_stack(mat)
     return space, mat
 
@@ -563,6 +555,18 @@ def _event_weight_sqrt(event: BellEvent, eta: float, kind: str) -> np.ndarray:
     return sq
 
 
+def _bob_modes(mats: np.ndarray, sq: np.ndarray, flipped: int) -> tuple[FockSpace, np.ndarray]:
+    """Bob's mode of a stack of joint-space matrices: each conditioned on
+    detector weights ``sq`` (as _ptrace_raw takes them) and traced down to
+    mode 2.  The slices from ``flipped`` on, those of the one-photon-at-d
+    event, get Bob's pi correction: exp(-i pi n) on his mode, a sign flip
+    of his one-photon row and column (he holds at most one photon)."""
+    space, out = _ptrace_raw(_JOINT_SPACE, mats, (2,), sq)
+    out[flipped:, ..., 1, :] *= -1.0
+    out[flipped:, ..., :, 1] *= -1.0
+    return space, out
+
+
 # rows per block of the moments route: a block's (B, 4, 10, 10) complex
 # stacks take 100 KiB, under glibc's 128 KiB mmap threshold, so they reuse
 # heap memory
@@ -595,10 +599,9 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
     (from conditional_resource), splitter angle (_bell_unitary's cache),
     efficiency, detector kind and event set.
 
-    One _ptrace_raw call conditions every kernel's transported inputs on
-    its event (_event_weight_sqrt) and traces out Alice's modes, so each
-    kernel is bit for bit the per-row route's; the D01 kernels then get
-    Bob's pi correction, a sign flip of his one-photon row and column."""
+    One _bob_modes call conditions every kernel's transported inputs on
+    its event (_event_weight_sqrt), traces out Alice's modes and gives the
+    D01 kernels Bob's pi correction."""
     mats = _transported(
         np.array([conditional_resource(p).matrix for p in rows]),
         np.array([_bell_unitary(p.theta) for p in rows]),
@@ -610,9 +613,7 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
             if event in p.events:
                 index.append(b)
                 sq.append(_event_weight_sqrt(event, p.eta, p.detector_kind))
-    _, kernels = _ptrace_raw(_JOINT_SPACE, mats[index], (2,), np.array(sq)[:, None])
-    kernels[d01:, :, 1, :] *= -1.0
-    kernels[d01:, :, :, 1] *= -1.0
+    _, kernels = _bob_modes(mats[index], np.array(sq)[:, None], d01)
     return index, kernels
 
 
@@ -630,6 +631,15 @@ def _event_integrals(kernels: np.ndarray) -> tuple[list[float], list[float]]:
     return int_f.real.tolist(), int_p.real.tolist()
 
 
+def _check_heralded(p, params: TeleportParams) -> None:
+    """Refuse a simulated average whose event probability p is not
+    positive: with on-off detectors at an efficiency so small that 1 - eta
+    rounds to 1, the click element 1 - (1 - eta)^l is 0 and no event is
+    ever heralded."""
+    if not p > 0.0:
+        raise ValueError(f"event probability {p} at efficiency {params.eta}: no event is heralded")
+
+
 def _averaged_moments(rows) -> list[tuple[float, float]]:
     """simulate_averaged(p, "moments") of every TeleportParams p in
     ``rows``, computed in blocks of _BLOCK rows; each pair is bit for bit
@@ -643,6 +653,8 @@ def _averaged_moments(rows) -> list[tuple[float, float]]:
         for b, int_f, int_p in zip(index, *_event_integrals(kernels)):
             sum_f[b] += int_f
             sum_p[b] += int_p
+        for params, p in zip(block, sum_p):
+            _check_heralded(p, params)
         out += [(f / p, p) for f, p in zip(sum_f, sum_p)]
     return out
 
@@ -782,8 +794,10 @@ def simulate_averaged(
     angle, efficiency, detector kind and event set.  "quadrature" runs
     the full simulation of bob_state at every quadrature node, all nodes
     of an event as one stack through _bob_states, so that each node is
-    checked as a bob_state call would check it.  The two routes share no
-    averaging code and must agree to rounding.
+    checked as a bob_state call would check it.  The two routes share the
+    splitter and the conditioning step (_bob_modes) but no averaging
+    code, and must agree to rounding.  A simulated event probability of
+    0 raises ValueError.
     """
     if method == "moments":
         return _averaged_moments([params])[0]
@@ -797,6 +811,7 @@ def simulate_averaged(
             for rho_b in states:
                 sum_f += weight * float(np.real(v.conj() @ rho_b[node] @ v))
                 sum_p += weight * float(rho_b[node].trace().real)
+        _check_heralded(sum_p, params)
         return float(sum_f / sum_p), float(sum_p)
     raise ValueError(f"unknown averaging method {method!r}")
 
@@ -883,6 +898,7 @@ def mc_averaged(
         sum_pp += chunk_pp
         sum_fp += chunk_fp
     mean_f, mean_p = sum_f / n_samples, sum_p / n_samples
+    _check_heralded(mean_p, params)
     fbar = mean_f / mean_p
     var_p = max(sum_pp / n_samples - mean_p**2, 0.0)
     # ratio estimator: var(F - fbar P) drives the error of the quotient
@@ -1012,7 +1028,7 @@ def nonadvantageous_bound(
     number-resolving detectors.  Events with vanishing probability at a
     grid point contribute nothing there.  The angles run in blocks of 16
     (_BLOCK) through the moments route with one shared resource: one
-    _ptrace_raw call per block conditions on all four rejected events at
+    _bob_modes call per block conditions on all four rejected events at
     once, with each event's weights from _event_weight_sqrt.  Each block
     builds its splitters uncached, since a grid angle is used once per
     call, and as one stack (_embedded_real_unitaries, bit for bit the
@@ -1039,7 +1055,7 @@ def nonadvantageous_bound(
         )
         mats = _transported(resource, splitters)
         # kernels[angle, event, slot]; no rejected event gets Bob's correction
-        _, kernels = _ptrace_raw(_JOINT_SPACE, mats[:, None], (2,), sq[:, None])
+        _, kernels = _bob_modes(mats[:, None], sq[:, None], len(mats))
         k00, k01, k10, k11 = np.moveaxis(kernels, 2, 0)
         int_p = np.real(np.trace(k11, axis1=-2, axis2=-1) + np.trace(k00, axis1=-2, axis2=-1))
         int_p = int_p / 2.0

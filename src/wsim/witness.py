@@ -22,7 +22,14 @@ import numpy as np
 from .circuits import _as_coefficients, _mode_amplitudes
 from .config import TOL
 from .detection import DetectorModel, _lossy_moment_stack
-from .fock import DensityOperator, FockSpace, _check_density_stack, _integer, _photon_numbers
+from .fock import (
+    DensityOperator,
+    FockSpace,
+    _check_density_stack,
+    _integer,
+    _norm_sq,
+    _photon_numbers,
+)
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ def _reduce_states(items) -> np.ndarray:
         i, j = _integer("i", i), _integer("j", j)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError("pair indices must be distinct and in range")
-        p = abs(w.alphas[i]) ** 2 + abs(w.alphas[j]) ** 2
+        p = _norm_sq((w.alphas[i], w.alphas[j]))
         if p <= TOL.support:
             raise ValueError(f"modes ({i}, {j}) carry no photon weight; pair state is vacuum")
         a = _mode_amplitudes(w)
@@ -214,7 +221,7 @@ def witness_ratio_closed_form(alpha_i: complex, alpha_j: complex, det: DetectorM
     with p = |a_i|^2 + |a_j|^2; below one iff conj(a_i) a_j != 0 and eta > 0.
     """
     a_i, a_j = complex(alpha_i), complex(alpha_j)
-    p = abs(a_i) ** 2 + abs(a_j) ** 2
+    p = _norm_sq((a_i, a_j))
     if not p <= 1.0 + TOL.norm:
         raise ValueError("pair photon weight exceeds 1")
     eta = det.eta

@@ -8,8 +8,9 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from wsim import TeleportParams, UnknownQubit, cli, fock, teleport
+from wsim import BellEvent, TeleportParams, UnknownQubit, cli, fock, teleport
 from wsim.circuits import bell_splitter, splitter
+from wsim.detection import _condition_outcomes_raw
 
 HALF_PI = math.pi / 2.0
 
@@ -49,9 +50,8 @@ def pad(space, matrix, target):
 
 
 # ---------------------------------------------------------------------------
-# The per-row moments route of the teleport pipeline, and the per-splitter
-# W chain: the block route and the checked-once chain must equal these bit
-# for bit.
+# The per-row moments route of the teleport pipeline: the block route must
+# equal it bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -108,6 +108,34 @@ def moments(params):
         sum_f += int_f
         sum_p += int_p
     return float(sum_f / sum_p), float(sum_p)
+
+
+# ---------------------------------------------------------------------------
+# Bob's state by the route that embedded the complex splitter and applied
+# the phase shift: a second route, equal to bob_state to rounding.
+# ---------------------------------------------------------------------------
+
+
+def phase_shifted_bob_state(event, qubit, params):
+    """Bob's unvalidated (3, 3) state by its own route: the public tensor,
+    the complex cast of the Bell splitter embedded in the joint space,
+    detector conditioning, and Bob's correction as the phase shift
+    exp(-i pi n), which is -1 - 1.2e-16j at n = 1.  bob_state must stay
+    within a few ulps of it."""
+    probe = fock.tensor(qubit.state().to_density(), teleport.conditional_resource(params))
+    u = fock._check_two_mode_unitary(bell_splitter(params.theta))
+    mat = fock._unitary_raw(probe.space, probe.matrix, (0, 1), u)
+    space, mat = _condition_outcomes_raw(
+        probe.space, mat, teleport._event_assignments(event, params.eta, params.detector_kind)
+    )
+    if event is BellEvent.D01:
+        mat = fock._phase_raw(space, mat, 0, math.pi)
+    return mat
+
+
+# ---------------------------------------------------------------------------
+# The per-splitter W chain: the checked-once chain must equal it bit for bit.
+# ---------------------------------------------------------------------------
 
 
 def chain_amplitudes(angles):

@@ -21,7 +21,7 @@ from wsim import (
     symmetric_angles,
     w_state_from_coefficients,
 )
-from wsim import circuits
+from wsim import circuits, cli
 from wsim.verify import _random_coefficients as random_coefficients
 
 
@@ -225,11 +225,23 @@ class TestModeAmplitudes:
             # PureState TOL.norm, on either side of one
             tuple(math.sqrt(1.0 + 5e-12) / math.sqrt(10) for _ in range(10)),
             tuple(math.sqrt(1.0 - 5e-12) / math.sqrt(10) for _ in range(10)),
+            # the squares overflow: norm^2 = inf, not an OverflowError
+            (1e200, 1e200),
         ],
-        ids=["one-mode", "unnormalized", "nan", "norm-above", "norm-below"],
+        ids=["one-mode", "unnormalized", "nan", "norm-above", "norm-below", "huge"],
     )
     def test_same_errors(self, alphas):
         with pytest.raises(ValueError) as expected:
             w_state_from_coefficients(alphas)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
             circuits._mode_amplitudes(alphas)
+
+    def test_admitted_symmetric_sizes_pass_the_norm_check(self):
+        # a left-to-right sum of the squares drifted by up to 2.4e-11 and
+        # refused most non-power-of-two N above 50,000 (121,206 among
+        # them); the correctly rounded sum stays within TOL.norm of one
+        rng = np.random.default_rng(121206)
+        sizes = [36376, 49457, 121206] + rng.integers(50_000, cli._MAX_MODES, 3).tolist()
+        for n in sizes:
+            a = circuits._mode_amplitudes(circuits._chain_amplitudes(symmetric_angles(n)))
+            assert len(a) == n

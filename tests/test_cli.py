@@ -320,6 +320,9 @@ class TestOutputPlumbing:
 
 _THETAS_9 = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 _TWO_PARTIES = "the network needs at least two parties"
+# 1 - eta rounds to 1, so the on-off click element 1 - (1 - eta)^l is 0
+_DARK = ["teleport", "--N", "3", "--eta", "1e-17", "--detector", "onoff"]
+_DARK_MESSAGE = "efficiency 1e-17: no event is heralded"
 # 27 sweep rows; the bad efficiency is row 19, in the second block of 16
 _ROW_19 = ["teleport", "--N", "3", "--m", "0", "--eta", "0.5,0.9,2", "--theta", _THETAS_9]
 
@@ -368,6 +371,13 @@ class TestTablesWrittenAsMade:
             (["teleport", "--N", "2,1", "--theta", "0.5"], _TWO_PARTIES),
             (_ROW_19 + ["--jobs", "1"], "efficiency 2.0 outside (0, 1]"),
             (_ROW_19 + ["--jobs", "2"], "efficiency 2.0 outside (0, 1]"),
+            # squares that overflow, and on-off detectors that never click
+            (["wstate", "--coeffs", "1e200,1e200"], "norm^2 = inf"),
+            (["witness-scan", "--coeffs", "1e200,1e200"], "norm^2 = inf"),
+            (_DARK + ["--theta", "0.5"], _DARK_MESSAGE),
+            (_DARK + ["--optimize"], _DARK_MESSAGE),
+            # the dark row shares its block with a row that clicks
+            (_DARK + ["--theta", "0.5", "--eta", "0.5,1e-17"], _DARK_MESSAGE),
         ],
         ids=[
             "wstate",
@@ -379,12 +389,17 @@ class TestTablesWrittenAsMade:
             "teleport-N2,1",
             "second-block-jobs1",
             "second-block-jobs2",
+            "wstate-huge",
+            "witness-scan-huge",
+            "teleport-dark",
+            "optimize-dark",
+            "teleport-dark-mixed",
         ],
     )
     def test_an_error_leaves_stdout_empty(self, capsys, argv, message, fmt):
         code, out, err = run(capsys, argv + fmt)
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
     def test_a_late_resource_error_leaves_stdout_empty(self, capsys, monkeypatch, fmt):
@@ -554,6 +569,18 @@ class TestAdmission:
         _spy_on_first_work(monkeypatch, _started)
         with pytest.raises(_Started):
             main(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wstate", "--symmetric", "121206"],
+            ["teleport", "--N", "36376", "--m", "1", "--theta", "0.7"],
+        ],
+        ids=["wstate", "teleport"],
+    )
+    def test_admitted_sizes_pass_the_norm_check(self, argv):
+        # a left-to-right sum of the squared amplitudes refused both
+        assert main(argv + ["--output", os.devnull]) == 0
 
     @pytest.mark.parametrize(
         "argv, rows",

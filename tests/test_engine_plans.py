@@ -531,11 +531,11 @@ class TestStackedKernels:
             assert_same_bits(stack, expected)
 
     def test_float_and_complex_splitters_embed_differently(self):
-        # the moments route embeds the float bell_splitter (_bell_unitary);
-        # _bob_states, the detector readout and lossy_moments_ancilla embed
-        # the complex cast that _check_two_mode_unitary returns.
-        # _two_mode_table rounds the two differently, so merging the two
-        # embeddings moves bits
+        # teleport embeds the float bell_splitter (_bell_unitary), for the
+        # block kernels and _bob_states alike; only detection, in the
+        # readout and lossy_moments_ancilla, embeds the complex cast that
+        # _check_two_mode_unitary returns.  _two_mode_table rounds the two
+        # differently, so merging the two embeddings moves bits
         theta = 0.33819703275213564
         checked = fock._check_two_mode_unitary(bell_splitter(theta))
         diff = teleport._bell_unitary(theta) - fock._embedded_unitary(

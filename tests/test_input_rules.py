@@ -1,5 +1,6 @@
 """Input rules checked at every entry point: integer sizes, counts and
-mode indices, splitter angles, and detector kinds.
+mode indices, splitter angles, detector kinds, amplitudes whose squares
+overflow, and efficiencies at which no event is heralded.
 
 Each rule lives in one place (``fock._integer`` and ``_positive_count``,
 ``circuits._check_angle``, ``detection._DETECTOR_KINDS``); these tests
@@ -19,8 +20,11 @@ from wsim import (
     DensityOperator,
     DetectorModel,
     FockSpace,
+    PureState,
     SplitterAngles,
     TeleportParams,
+    UnknownQubit,
+    WCoefficients,
     annihilation_matrix,
     apply_phase_shift,
     apply_two_mode_unitary,
@@ -41,7 +45,9 @@ from wsim import (
     simulate_averaged,
     splitter,
     symmetric_angles,
+    witness_ratio_closed_form,
 )
+from wsim import fock
 from wsim.cli import main
 
 DET = DetectorModel(0.7)
@@ -275,3 +281,59 @@ def test_every_kind_reaches_the_cli(kind, capsys):
     assert main(["teleport", "--N", "3", "--theta", "0.4", "--detector", kind]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1].split(",")[6] == TeleportParams(3, 0, 1.0, 0.4, kind).detector_kind
+
+
+# -- huge amplitudes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WCoefficients((1e200, 1e200)), "coefficients are not normalized (norm^2 = inf)"),
+        (lambda: UnknownQubit(1e200, 0), "qubit amplitudes are not normalized"),
+        (lambda: PureState(FockSpace(1), {(1,): 1e200}), "squared norm inf outside (0, 1]"),
+        (
+            lambda: witness_ratio_closed_form(1e200, 0, DetectorModel(0.5)),
+            "pair photon weight exceeds 1",
+        ),
+    ],
+    ids=["WCoefficients", "UnknownQubit", "PureState", "witness_ratio_closed_form"],
+)
+def test_overflowing_squares_are_refused(call, message):
+    # Python's float ** raises OverflowError once 1e200 is squared
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_squared_norm_overflow_is_inf():
+    assert fock._norm_sq([1e200]) == math.inf
+    assert fock._norm_sq([complex(1e308, 1e308)]) == math.inf  # abs overflows
+    assert fock._norm_sq([1e154, 1e154, 1e154]) == math.inf  # the sum overflows
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.complex_numbers(max_magnitude=1e100), b=st.complex_numbers(max_magnitude=1e100))
+def test_two_term_squared_norm_keeps_its_bits(a, b):
+    # fsum of two floats and + both round the exact sum once
+    assert repr(fock._norm_sq((a, b))) == repr(abs(a) ** 2 + abs(b) ** 2)
+
+
+# -- efficiencies at which on-off detectors never click ----------------------
+
+# 1 - eta rounds to 1, so the on-off click element 1 - (1 - eta)^l is 0
+DARK = TeleportParams(3, 0, 1e-17, 0.5, "onoff", "both")
+DARK_MESSAGE = "event probability 0.0 at efficiency 1e-17: no event is heralded"
+
+
+@pytest.mark.parametrize(
+    "average",
+    [
+        lambda p: simulate_averaged(p, "moments"),
+        lambda p: simulate_averaged(p, "quadrature"),
+        lambda p: mc_averaged(p, 1000),
+    ],
+    ids=["moments", "quadrature", "monte-carlo"],
+)
+def test_no_heralded_event_is_refused(average):
+    with pytest.raises(ValueError, match="^" + re.escape(DARK_MESSAGE) + "$"):
+        average(DARK)

@@ -4,8 +4,10 @@ simulate_averaged's quadrature sends all of its nodes through _bob_states
 as one stack, and mc_averaged draws, evaluates and sums its samples in
 leaves of numpy's pairwise-sum tree, skipping the kernel entries that are
 exactly zero.  Each must equal, bit for bit, the per-node, whole-chunk and
-dense computations they replace, which are kept here as oracles; the
-stack validator must reject a single bad slice exactly as DensityOperator
+dense computations they replace, which are kept here as oracles.
+bob_state must stay within a few ulps of the route that embeds the complex
+splitter and applies Bob's correction as a phase shift.  The stack
+validator must reject a single bad slice exactly as DensityOperator
 rejects that matrix.
 """
 
@@ -30,7 +32,7 @@ from wsim import (
     tensor,
 )
 from wsim import fock, teleport
-from wsim.circuits import bell_splitter
+from wsim.config import TOL
 from wsim.detection import _condition_outcomes_raw
 from wsim.teleport import MCResult
 
@@ -44,16 +46,19 @@ def qubits(draw):
 
 
 def loop_bob_state(event, qubit, params):
-    """bob_state as one validated run per qubit: public tensor, raw
-    splitter, conditioning and correction, validation at return."""
+    """bob_state as one validated run per qubit: public tensor, the
+    embedded Bell splitter as u rho u^H, conditioning, Bob's correction as
+    a sign flip of his one-photon row and column, validation at return."""
     probe = tensor(qubit.state().to_density(), conditional_resource(params))
-    u = fock._check_two_mode_unitary(bell_splitter(params.theta))
-    mat = fock._unitary_raw(probe.space, probe.matrix, (0, 1), u)
+    u = oracles.bell_unitary(params.theta)
     space, mat = _condition_outcomes_raw(
-        probe.space, mat, teleport._event_assignments(event, params.eta, params.detector_kind)
+        probe.space,
+        u @ probe.matrix @ u.conj().T,
+        teleport._event_assignments(event, params.eta, params.detector_kind),
     )
     if event is BellEvent.D01:
-        mat = fock._phase_raw(space, mat, 0, math.pi)
+        mat[1, :] *= -1.0
+        mat[:, 1] *= -1.0
     return DensityOperator(space, mat)
 
 
@@ -98,6 +103,30 @@ class TestStackEqualsLoop:
     @given(params=teleport_params(theta=angles))
     def test_quadrature(self, params):
         assert simulate_averaged(params, method="quadrature") == loop_quadrature(params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=teleport_params(theta=angles), q=qubits())
+    def test_phase_shift_route_agrees_to_rounding(self, params, q):
+        # the sign flip and the phase shift exp(-i pi n) differ by
+        # 1.2e-16 in Bob's one-photon phase, and the float and complex
+        # splitters embed with different roundings; over 4,000 random
+        # settings the routes differed by at most 1.12 ulps of the largest
+        # entry (1.96e-17), so 4 ulps bounds it
+        for event in params.events:
+            new = bob_state(event, q, params).matrix
+            old = oracles.phase_shifted_bob_state(event, q, params)
+            assert np.max(np.abs(new - old)) <= 4 * np.spacing(np.max(np.abs(new)))
+            closed = teleport.bob_state_closed_form(event, q, params).matrix
+            for mat in (new, old):
+                assert np.max(np.abs(mat - closed)) <= TOL.state_match
+
+    def test_bob_state_of_a_real_qubit_is_real(self):
+        # Bob's sign flip keeps a real state real; the phase shift
+        # exp(-i pi n) left imaginary parts of up to 5.9e-18 here
+        params = TeleportParams(3, 1, 0.7, 0.6)
+        qubit = UnknownQubit.from_bloch(1.1, 0.0)
+        assert np.all(bob_state("D01", qubit, params).matrix.imag == 0)
+        assert np.any(oracles.phase_shifted_bob_state(BellEvent.D01, qubit, params).imag != 0)
 
     @pytest.mark.parametrize("n_polar, n_azimuth", [(1, 1), (3, 5), (9, 2)])
     def test_quadrature_grid_sizes(self, n_polar, n_azimuth):
@@ -425,14 +454,15 @@ class TestStackValidator:
 
     def test_bob_states_validate_each_node(self, monkeypatch):
         params = TeleportParams(3, 1, 0.7, 0.5)
-        original = teleport._phase_raw
+        original = teleport._bob_modes
 
-        def skewed(space, matrix, mode, phi):
-            out = original(space, matrix, mode, phi)
-            out[1, 0, 1] += 1e-6  # one node's state stops being Hermitian
-            return out
+        def skewed(mats, sq, flipped):
+            space, out = original(mats, sq, flipped)
+            if flipped < len(out):
+                out[1, 0, 1] += 1e-6  # one node's D01 state stops being Hermitian
+            return space, out
 
-        monkeypatch.setattr(teleport, "_phase_raw", skewed)
+        monkeypatch.setattr(teleport, "_bob_modes", skewed)
         stack = density_stack([UnknownQubit(0.6, 0.8), UnknownQubit(0.8, 0.6j)])
         teleport._bob_states(BellEvent.D10, stack, params)
         with pytest.raises(ValueError, match="not Hermitian"):
