@@ -33,8 +33,8 @@ from .fock import (
     _mode_counts,
     _phase_raw,
     _ptrace_raw,
+    _tensor_plan,
     _tensor_raw,
-    _unitary_raw,
     vacuum_state,
 )
 
@@ -234,11 +234,15 @@ def lossy_moments(rho2: DensityOperator, det: DetectorModel) -> tuple[float, flo
     <N_+>_eta = eta <N_+>, quoted here per J component (a factor 1/4).
 
     This is the one-state call of _lossy_moment_stack, which the witness
-    scan runs on a whole stack of pair states.  The input is already a
+    scan and verify run on whole stacks of pair states, as
+    lossy_moments_ancilla and povm_moments are the one-state calls of
+    _ancilla_moment_stack and _povm_moment_stack.  The input is already a
     validated DensityOperator, so the phase shifter and the splitter run
     on its matrix through the raw engine and no intermediate state is
-    validated again; the same holds for lossy_moments_ancilla and
-    povm_moments.  The readout splitter and the count vectors of each
+    validated again.  The readout and loss splitters are the complex
+    casts that _check_two_mode_unitary returns, embedded through
+    _two_mode_table: the float embedding that teleport uses rounds
+    differently.  The readout splitter and the count vectors of each
     space are checked and built once per process.
     """
     return _lossy_moment_stack(rho2.space, rho2.matrix[None], [det.eta])[0]
@@ -267,26 +271,47 @@ def lossy_moments_ancilla(rho2: DensityOperator, det: DetectorModel) -> tuple[fl
     Each interferometer output is mixed with a vacuum ancilla on a splitter
     of transmittance eta and a perfect detector reads the transmitted beam;
     no moment transform is applied.  Kept as an independent oracle for
-    lossy_moments.
+    lossy_moments.  This is the one-state call of _ancilla_moment_stack.
     """
-    _require_two_mode_normalized(rho2.space, rho2.matrix)
-    loss = _check_two_mode_unitary(splitter(math.acos(math.sqrt(det.eta))))
+    return _ancilla_moment_stack(rho2.space, rho2.matrix[None], [det.eta])[0]
+
+
+def _ancilla_moment_stack(
+    space: FockSpace, matrices: np.ndarray, etas
+) -> list[tuple[float, float, float]]:
+    """lossy_moments_ancilla of each matrix of a (P, dim, dim) stack of
+    validated two-mode states, read by detectors of efficiency etas[p];
+    entry p is bit for bit that of slice p alone.
+
+    The vacuum ancilla is built once per call, and each detector's two
+    loss splitters are checked and embedded once, for both readout
+    phases, as complex casts through _two_mode_table: the stacked
+    _embedded_real_unitaries rounds like the float splitter, not like the
+    complex cast.  The contractions are np.vecdot, as in
+    _difference_statistics."""
+    _require_two_mode_normalized(space, matrices)
     ancillas = vacuum_state(FockSpace(2)).to_density()
-    out = []
-    n_plus_meas = 0.0
+    big_space = _tensor_plan(space, ancillas.space)[0]
+    losses = [_check_two_mode_unitary(splitter(math.acos(math.sqrt(eta)))) for eta in etas]
+    # transmitted beams land on the ancilla slots 2 and 3
+    fulls = [
+        np.stack([_embedded_unitary(big_space, modes, loss) for loss in losses])
+        for modes in ((0, 2), (1, 3))
+    ]
+    d_vals, n_vals = _count_vectors(big_space, (2, 3))
+    variances, n_plus_meas = [], []
     for phi in (0.0, math.pi / 2):
-        probe = _readout_raw(rho2.space, rho2.matrix, phi)
-        space, big = _tensor_raw(rho2.space, probe, ancillas.space, ancillas.matrix)
-        # transmitted beams land on the ancilla slots 2 and 3
-        big = _unitary_raw(space, big, (0, 2), loss)
-        big = _unitary_raw(space, big, (1, 3), loss)
-        diag = np.real(np.diag(big))
-        d_vals, n_vals = _count_vectors(space, (2, 3))
-        mean_d = float(diag @ d_vals)
-        out.append((float(diag @ d_vals**2) - mean_d**2) / 4.0)
+        probe = _readout_raw(space, matrices, phi)
+        _, big = _tensor_raw(space, probe, ancillas.space, ancillas.matrix)
+        for full in fulls:
+            big = full @ big @ full.conj().swapaxes(-1, -2)
+        diags = np.real(np.diagonal(big, axis1=-2, axis2=-1))
+        mean_d = np.vecdot(diags, d_vals).tolist()
+        mean_d2 = np.vecdot(diags, d_vals**2).tolist()
+        variances.append([(m2 - m**2) / 4.0 for m, m2 in zip(mean_d, mean_d2)])
         if phi == 0.0:
-            n_plus_meas = float(diag @ n_vals)
-    return out[0], out[1], n_plus_meas
+            n_plus_meas = np.vecdot(diags, n_vals).tolist()
+    return list(zip(*variances, n_plus_meas))
 
 
 def povm_moments(
@@ -298,32 +323,46 @@ def povm_moments(
     accepts: "number" (or "number-resolving") counts photons (and must
     agree with lossy_moments to rounding), "onoff" (or "on-off") registers
     clicks valued 0/1 (and agrees whenever at most one photon can arrive
-    per output).
+    per output).  This is the one-state call of _povm_moment_stack.
     """
-    _require_two_mode_normalized(rho2.space, rho2.matrix)
+    return _povm_moment_stack(rho2.space, rho2.matrix[None], [det.eta], kind)[0]
+
+
+def _povm_moment_stack(
+    space: FockSpace, matrices: np.ndarray, etas, kind: str
+) -> list[tuple[float, float, float]]:
+    """povm_moments of each matrix of a (P, dim, dim) stack of validated
+    two-mode states, read by ``kind`` detectors of efficiency etas[p];
+    entry p is bit for bit that of slice p alone.  Each outcome's
+    probability is one np.vecdot of the readout's diagonal with the joint
+    POVM weights, as in _difference_statistics; the moments add the
+    outcomes in order, in Python floats."""
+    _require_two_mode_normalized(space, matrices)
     back_end = _DETECTOR_KINDS.get(kind)
-    if back_end == "number":
-        outcomes = [(povm_number(k, det), float(k)) for k in range(3)]
-    elif back_end == "onoff":
-        outcomes = [(povm_onoff(False, det), 0.0), (povm_onoff(True, det), 1.0)]
-    else:
+    if back_end not in ("number", "onoff"):
         raise ValueError(f"unknown detector back-end {kind!r}")
-    joint = [
-        (_povm_weights(rho2.space, {0: elem_c, 1: elem_d}), val_c - val_d, val_c + val_d)
-        for elem_c, val_c in outcomes
-        for elem_d, val_d in outcomes
-    ]
-    variances = []
-    n_plus_meas = 0.0
+    # the value each outcome reads: its count, or 0/1 for off/on
+    reads = (0.0, 1.0, 2.0) if back_end == "number" else (0.0, 1.0)
+    values = [(val_c - val_d, val_c + val_d) for val_c in reads for val_d in reads]
+    weights = []
+    for eta in etas:
+        det = DetectorModel(eta)
+        if back_end == "number":
+            elements = [povm_number(k, det) for k in range(3)]
+        else:
+            elements = [povm_onoff(False, det), povm_onoff(True, det)]
+        weights.append([_povm_weights(space, {0: c, 1: d}) for c in elements for d in elements])
+    weights = np.array(weights)
+    moments = []
     for phi in (0.0, math.pi / 2):
-        diag = np.real(np.diag(_readout_raw(rho2.space, rho2.matrix, phi)))
-        mean_d = mean_d2 = mean_n = 0.0
-        for weights, d, total in joint:
-            p = float(diag @ weights)
-            mean_d += p * d
-            mean_d2 += p * d * d
-            mean_n += p * total
-        variances.append((mean_d2 - mean_d**2) / 4.0)
-        if phi == 0.0:
-            n_plus_meas = mean_n
-    return variances[0], variances[1], n_plus_meas
+        diags = np.real(np.diagonal(_readout_raw(space, matrices, phi), axis1=-2, axis2=-1))
+        rows = []
+        for probs in np.vecdot(diags[:, None, :], weights).tolist():
+            mean_d = mean_d2 = mean_n = 0.0
+            for p, (d, total) in zip(probs, values):
+                mean_d += p * d
+                mean_d2 += p * d * d
+                mean_n += p * total
+            rows.append(((mean_d2 - mean_d**2) / 4.0, mean_n))
+        moments.append(rows)
+    return [(var_x, var_y, n_plus) for (var_x, n_plus), (var_y, _) in zip(*moments)]

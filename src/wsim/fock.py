@@ -250,21 +250,25 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _check_density_stack(matrices: np.ndarray, normalized: bool = False) -> None:
+def _check_density_stack(matrices: np.ndarray, normalized=False) -> None:
     """The checks of DensityOperator on every matrix of a (..., dim, dim)
     stack: finite, Hermitian, PSD and trace in [0, 1] (exactly 1 when
-    ``normalized``), each within its tolerance.  The first failing check
-    raises ValueError with the message DensityOperator gives for it."""
+    ``normalized``), each within its tolerance.  ``normalized`` is one
+    flag for the whole stack or an array of flags over its leading axes,
+    one per matrix.  The first failing check raises ValueError with the
+    message DensityOperator gives for it."""
     if not np.isfinite(matrices).all():
         raise ValueError("matrix has non-finite entries")
     if np.abs(matrices - matrices.conj().swapaxes(-1, -2)).max() > TOL.hermiticity:
         raise ValueError("matrix is not Hermitian within tolerance")
     if matrices.shape[-1] > 0 and np.linalg.eigvalsh(matrices).min() < -TOL.positivity:
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    for tr in matrices.trace(axis1=-2, axis2=-1).real.ravel().tolist():
+    traces = matrices.trace(axis1=-2, axis2=-1).real
+    flags = np.broadcast_to(normalized, traces.shape)
+    for tr, flag in zip(traces.ravel().tolist(), flags.ravel().tolist()):
         if not -TOL.trace <= tr <= 1.0 + TOL.trace:
             raise ValueError(f"trace {tr} outside [0, 1]")
-        if normalized and abs(tr - 1.0) > TOL.trace:
+        if flag and abs(tr - 1.0) > TOL.trace:
             raise ValueError("normalized flag set but trace != 1")
 
 
@@ -340,17 +344,17 @@ def _tensor_plan(space_a: FockSpace, space_b: FockSpace):
 def _tensor_raw(
     space_a: FockSpace, a: np.ndarray, space_b: FockSpace, b: np.ndarray
 ) -> tuple[FockSpace, np.ndarray]:
-    """Tensor product; leading axes of ``a`` are a stack, each slice taken
-    with the same ``b``."""
+    """Tensor product; leading axes of ``a`` and ``b`` are stacks that
+    broadcast against each other, each slice taken alone."""
     space, (rows, cols, ia, ja, ib, jb) = _tensor_plan(space_a, space_b)
-    x, y = a[..., ia, ja], b[ib, jb]
+    x, y = a[..., ia, ja], b[..., ib, jb]
     # the product in separately rounded real arithmetic, as numpy's complex
     # scalars compute it; the vectorized complex multiply may fuse and round
     # differently
-    prod = np.empty(x.shape, dtype=complex)
+    prod = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
     prod.real = x.real * y.real - x.imag * y.imag
     prod.imag = x.real * y.imag + x.imag * y.real
-    out = np.zeros(a.shape[:-2] + (space.dim, space.dim), dtype=complex)
+    out = np.zeros(prod.shape[:-1] + (space.dim, space.dim), dtype=complex)
     out[..., rows, cols] += prod
     return space, out
 
@@ -359,7 +363,7 @@ def _tensor_checked(
     space_a: FockSpace, a: np.ndarray, space_b: FockSpace, b: np.ndarray
 ) -> tuple[FockSpace, np.ndarray]:
     """_tensor_raw after tensor's photon-cutoff check, which runs on every
-    slice of a stack ``a``."""
+    slice of the stacks ``a`` and ``b``."""
     cutoff = max(space_a.total_cutoff, space_b.total_cutoff)
     if np.any(_occupied_sectors(space_a, a) + _occupied_sectors(space_b, b) > cutoff):
         raise ValueError("tensor product exceeds the total-photon cutoff")
@@ -395,7 +399,8 @@ def _ptrace_raw(
     m[i, j] is weighted as sq[..., i] * m[i, j] * sq[..., j] before it is
     added, and the leading axes of ``sq`` broadcast against the stack's.
     Every term is added in the plan's order by one add.at on a flat index,
-    which numpy runs on its fast path."""
+    which numpy runs on its fast path.  The result has the dtype of the
+    weighted terms: real for a real matrix and real weights."""
     out_space, (i, j, flat, kept) = _ptrace_plan(space, keep)
     terms = matrix.reshape(matrix.shape[:-2] + (-1,)).take(flat, axis=-1)
     if sq is not None:
@@ -403,7 +408,7 @@ def _ptrace_raw(
         terms *= sq[..., j]
     size = out_space.dim * out_space.dim
     count = terms.size // len(flat)
-    out = np.zeros(count * size, dtype=complex)
+    out = np.zeros(count * size, dtype=terms.dtype)
     np.add.at(out, (size * np.arange(count)[:, None] + kept).ravel(), terms.ravel())
     return out_space, out.reshape(terms.shape[:-1] + (out_space.dim, out_space.dim))
 
@@ -562,12 +567,13 @@ def _embedded_unitary(space: FockSpace, modes: tuple[int, int], u: np.ndarray) -
 
 def _embedded_real_unitaries(space: FockSpace, modes: tuple[int, int], us) -> np.ndarray:
     """_embedded_unitary of each matrix in a real (T, 2, 2) float64 stack,
-    as a (T, dim, dim) stack built from _real_two_mode_tables; slice t is
-    bit for bit _embedded_unitary(space, modes, us[t])."""
+    as a (T, dim, dim) float64 stack built from _real_two_mode_tables;
+    slice t is bit for bit the real part of _embedded_unitary(space,
+    modes, us[t]), whose imaginary parts are all zero."""
     tables = _real_two_mode_tables(us, _table_photons(space))
     rows, cols, values = _table_entries(space, tuple(modes), tables, np.ones(space.dim))
-    out = np.zeros((len(tables), space.dim, space.dim), dtype=complex)
-    out[:, rows, cols] = values
+    out = np.zeros((len(tables), space.dim, space.dim))
+    out[:, rows, cols] = values.real
     return out
 
 

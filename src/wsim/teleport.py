@@ -461,32 +461,42 @@ def bob_state(event, qubit: UnknownQubit, params: TeleportParams) -> DensityOper
     the one-qubit call of _bob_states.
     """
     event = _accepted_event(event)
-    v = qubit.state().to_vector()
-    space, mats = _bob_states(event, np.outer(v, v.conj())[None], params)
+    space, mats = _bob_states([params], [event], _qubit_densities([qubit]))
     return DensityOperator(space, mats[0])
 
 
-def _bob_states(
-    event: BellEvent, qubits: np.ndarray, params: TeleportParams
-) -> tuple[FockSpace, np.ndarray]:
+def _qubit_densities(qubits) -> np.ndarray:
+    """|q><q| of each UnknownQubit q on the qubit mode, as an (S, 3, 3) stack."""
+    vectors = [qubit.state().to_vector() for qubit in qubits]
+    return np.stack([np.outer(v, v.conj()) for v in vectors])
+
+
+def _bob_states(rows, events, qubits: np.ndarray) -> tuple[FockSpace, np.ndarray]:
     """Bob's states for a (S, 3, 3) stack of normalized qubit densities on
-    the qubit mode, as the matching (S, 3, 3) stack on Bob's mode.
+    the qubit mode, as the matching (S, 3, 3) stack on Bob's mode.  Slice
+    s runs through the pipeline of the TeleportParams ``rows[s]`` and
+    heralds the accepted event ``events[s]``: its own resource, splitter
+    (_bell_unitary's, applied as u rho u^T), detector weights
+    (_event_weight_sqrt) and, for D01, Bob's correction, all conditioned
+    by one _bob_modes call as for the block kernels.
 
     Every slice gets the checks of the one-qubit pipeline: the qubit
-    density, the tensor product with the resource and Bob's state are
-    validated as DensityOperators would be (_check_density_stack), and the
-    tensor product's photon-cutoff check runs per slice.  The splitter is
-    _bell_unitary's, applied as u rho u^H, and _bob_modes conditions on the
-    event and applies Bob's correction, as for the block kernels.
+    density, the tensor product with its resource (normalized as that
+    resource is) and Bob's state are validated as DensityOperators would
+    be (_check_density_stack), and the tensor product's photon-cutoff
+    check runs per slice.  The float splitters meet complex densities, so
+    numpy casts them to complex before multiplying.
     """
     _check_density_stack(qubits, normalized=True)
-    resource = conditional_resource(params)
-    space, probe = _tensor_checked(_QUBIT_SPACE, qubits, resource.space, resource.matrix)
-    _check_density_stack(probe, normalized=resource.normalized)
-    u = _bell_unitary(params.theta)
-    sq = _event_weight_sqrt(event, params.eta, params.detector_kind)
-    flipped = 0 if event is BellEvent.D01 else len(probe)
-    space, mat = _bob_modes(u @ probe @ u.conj().T, sq, flipped)
+    resources = [conditional_resource(p) for p in rows]
+    space, probe = _tensor_checked(
+        _QUBIT_SPACE, qubits, _RESOURCE_SPACE, np.array([r.matrix for r in resources])
+    )
+    _check_density_stack(probe, normalized=np.array([r.normalized for r in resources]))
+    u = np.array([_bell_unitary(p.theta) for p in rows])
+    sq = np.array([_event_weight_sqrt(e, p.eta, p.detector_kind) for p, e in zip(rows, events)])
+    flipped = np.array([e is BellEvent.D01 for e in events])
+    space, mat = _bob_modes(u @ probe @ u.swapaxes(-1, -2), sq, flipped)
     _check_density_stack(mat)
     return space, mat
 
@@ -539,8 +549,10 @@ def _operator_basis_maps() -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=4096)
 def _bell_unitary(theta: float) -> np.ndarray:
-    u = _embedded_unitary(_JOINT_SPACE, (0, 1), bell_splitter(theta))
-    u.setflags(write=False)
+    """The float bell_splitter(theta) embedded in the joint space, as a
+    read-only (10, 10) float64 matrix: every entry of the embedding is
+    real, so its imaginary parts are dropped."""
+    (u,) = _frozen(_embedded_unitary(_JOINT_SPACE, (0, 1), bell_splitter(theta)).real.copy())
     return u
 
 
@@ -548,47 +560,47 @@ def _bell_unitary(theta: float) -> np.ndarray:
 def _event_weight_sqrt(event: BellEvent, eta: float, kind: str) -> np.ndarray:
     """The square roots of the event's POVM weights over the basis of the
     joint space, the weights with which _ptrace_raw conditions on the
-    event: a read-only (10,) complex vector.  Complex, as the products with
-    the complex entries would cast them anyway."""
-    w = np.sqrt(_povm_weights(_JOINT_SPACE, _event_assignments(event, eta, kind)))
-    (sq,) = _frozen(w.astype(complex))
+    event: a read-only (10,) float64 vector."""
+    (sq,) = _frozen(np.sqrt(_povm_weights(_JOINT_SPACE, _event_assignments(event, eta, kind))))
     return sq
 
 
-def _bob_modes(mats: np.ndarray, sq: np.ndarray, flipped: int) -> tuple[FockSpace, np.ndarray]:
+def _bob_modes(mats: np.ndarray, sq: np.ndarray, flipped) -> tuple[FockSpace, np.ndarray]:
     """Bob's mode of a stack of joint-space matrices: each conditioned on
     detector weights ``sq`` (as _ptrace_raw takes them) and traced down to
-    mode 2.  The slices from ``flipped`` on, those of the one-photon-at-d
-    event, get Bob's pi correction: exp(-i pi n) on his mode, a sign flip
-    of his one-photon row and column (he holds at most one photon)."""
+    mode 2.  The slices that ``flipped`` picks on the leading axis (a
+    slice or a boolean mask), those of the one-photon-at-d event, get
+    Bob's pi correction: exp(-i pi n) on his mode, a sign flip of his
+    one-photon row and column (he holds at most one photon)."""
     space, out = _ptrace_raw(_JOINT_SPACE, mats, (2,), sq)
-    out[flipped:, ..., 1, :] *= -1.0
-    out[flipped:, ..., :, 1] *= -1.0
+    out[flipped, ..., 1, :] *= -1.0
+    out[flipped, ..., :, 1] *= -1.0
     return space, out
 
 
-# rows per block of the moments route: a block's (B, 4, 10, 10) complex
-# stacks take 100 KiB, under glibc's 128 KiB mmap threshold, so they reuse
-# heap memory
+# rows per block of the moments route, and items per slice of verify's
+# stacked claims: a block's (B, 4, 10, 10) float64 stacks take 50 KiB,
+# under glibc's 128 KiB mmap threshold, so they reuse heap memory
 _BLOCK = 16
 
 
 def _transported(resources: np.ndarray, splitters: np.ndarray) -> np.ndarray:
     """The four operator-basis inputs pushed through tensor + splitter, for
-    a block of B rows, as a (B, 4, 10, 10) stack on the joint space.
+    a block of B rows, as a (B, 4, 10, 10) float64 stack on the joint space.
 
     ``resources`` is a (B, 6, 6) stack of conditional resources, or a (1,
-    6, 6) one that every row shares (a grid of angles); ``splitters`` is
-    the (B, 10, 10) stack of Bell splitters embedded in the joint space.
-    Each matrix is u @ t @ u^H, bit for bit the per-row route's."""
+    6, 6) one that every row shares (a grid of angles); their imaginary
+    parts are all zero and are dropped.  ``splitters`` is the (B, 10, 10)
+    float64 stack of Bell splitters embedded in the joint space.  Each
+    matrix is u @ t @ u^T in real arithmetic."""
     target, source = _operator_basis_maps()
     count, dim = len(splitters), _JOINT_SPACE.dim
-    t = np.zeros((count, 4 * dim * dim), dtype=complex)
-    t[:, target] = resources.reshape(len(resources), -1).take(source, axis=1)
+    t = np.zeros((count, 4 * dim * dim))
+    t[:, target] = resources.real.reshape(len(resources), -1).take(source, axis=1)
     t = t.reshape(count, 4, dim, dim)
     u = splitters[:, None]
     # the product overwrites t, which is read no more
-    return np.matmul(u @ t, u.conj().swapaxes(-1, -2), out=t)
+    return np.matmul(u @ t, u.swapaxes(-1, -2), out=t)
 
 
 def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
@@ -601,7 +613,8 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
 
     One _bob_modes call conditions every kernel's transported inputs on
     its event (_event_weight_sqrt), traces out Alice's modes and gives the
-    D01 kernels Bob's pi correction."""
+    D01 kernels Bob's pi correction.  The kernels are float64: every value
+    on the route is real."""
     mats = _transported(
         np.array([conditional_resource(p).matrix for p in rows]),
         np.array([_bell_unitary(p.theta) for p in rows]),
@@ -613,7 +626,7 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
             if event in p.events:
                 index.append(b)
                 sq.append(_event_weight_sqrt(event, p.eta, p.detector_kind))
-    _, kernels = _bob_modes(mats[index], np.array(sq)[:, None], d01)
+    _, kernels = _bob_modes(mats[index], np.array(sq)[:, None], slice(d01, None))
     return index, kernels
 
 
@@ -621,14 +634,19 @@ def _block_kernels(rows) -> tuple[list[int], np.ndarray]:
 # <|a|^4> = <|b|^4> = 1/3 and <|a|^2 |b|^2> = 1/6 (|a|^2 is uniform on [0, 1]).
 def _event_integrals(kernels: np.ndarray) -> tuple[list[float], list[float]]:
     """Bloch-averaged unnormalized fidelity and probability of each event's
-    kernels in a (K, 4, 3, 3) stack, as two lists of K floats."""
+    kernels in a real (K, 4, 3, 3) stack, as two lists of K floats.
+
+    The moments multiply by the reciprocals 1/3, 1/6 and 1/2: numpy
+    divides a complex array by a real one that way, and these values are
+    bit for bit those of the complex kernels, whose imaginary parts are
+    zero.  Plain division by 3 rounds differently."""
     # kernels[:, 2j + k] is the kernel of |j><k|
-    int_f = (kernels[:, 3, 1, 1] + kernels[:, 0, 0, 0]) / 3.0 + (
+    int_f = (kernels[:, 3, 1, 1] + kernels[:, 0, 0, 0]) * (1.0 / 3.0) + (
         kernels[:, 3, 0, 0] + kernels[:, 0, 1, 1] + kernels[:, 2, 1, 0] + kernels[:, 1, 0, 1]
-    ) / 6.0
+    ) * (1.0 / 6.0)
     traces = kernels.trace(axis1=2, axis2=3)
-    int_p = (traces[:, 3] + traces[:, 0]) / 2.0
-    return int_f.real.tolist(), int_p.real.tolist()
+    int_p = (traces[:, 3] + traces[:, 0]) * 0.5
+    return int_f.tolist(), int_p.tolist()
 
 
 def _check_heralded(p, params: TeleportParams) -> None:
@@ -782,6 +800,46 @@ def bloch_average(f, n_polar: int = 8, n_azimuth: int = 16) -> float:
     return sum((weight * f(qubit) for weight, qubit in _bloch_nodes(n_polar, n_azimuth)), 0.0)
 
 
+def _quadrature_averages(rows, n_polar: int = 8, n_azimuth: int = 16) -> list[tuple[float, float]]:
+    """simulate_averaged(p, "quadrature", n_polar, n_azimuth) of every
+    TeleportParams p in ``rows``.
+
+    The nodes are built once per call: their weights, target vectors v
+    and densities |v><v| on the qubit mode.  Every row, event and node
+    gives one state; the states run through _bob_states in slices of
+    _BLOCK, row by row, each row's events in order.  Each state's
+    fidelity <v|rho|v> with its node's target v and its trace are read
+    off the slice, and a row sums them over its nodes and, within a node,
+    over its events, weighted by the node's weight."""
+    nodes = _bloch_nodes(n_polar, n_azimuth)
+    weights = np.array([weight for weight, _ in nodes])
+    targets = np.stack([qubit.state().to_vector() for _, qubit in nodes])
+    densities = _qubit_densities([qubit for _, qubit in nodes])
+    states = [(p, e, k) for p in rows for e in p.events for k in range(len(weights))]
+    fid, prob = [], []
+    for start in range(0, len(states), _BLOCK):
+        part = states[start : start + _BLOCK]
+        k = [node for _, _, node in part]
+        _, mats = _bob_states([p for p, _, _ in part], [e for _, e, _ in part], densities[k])
+        v = targets[k]
+        fid += np.real(v.conj()[:, None, :] @ mats @ v[:, :, None])[:, 0, 0].tolist()
+        prob += mats.trace(axis1=-2, axis2=-1).real.tolist()
+    out = []
+    start = 0
+    for params in rows:
+        # where each of the row's events starts in the lists of states
+        firsts = range(start, start + len(params.events) * len(weights), len(weights))
+        sum_f = sum_p = 0.0
+        for node, weight in enumerate(weights.tolist()):
+            for first in firsts:
+                sum_f += weight * fid[first + node]
+                sum_p += weight * prob[first + node]
+        start = firsts.stop
+        _check_heralded(sum_p, params)
+        out.append((float(sum_f / sum_p), float(sum_p)))
+    return out
+
+
 def simulate_averaged(
     params: TeleportParams, method: str = "moments", n_polar: int = 8, n_azimuth: int = 16
 ) -> tuple[float, float]:
@@ -792,27 +850,19 @@ def simulate_averaged(
     block route (_averaged_moments), which the CLI and verify run on
     blocks of up to 16 parameter tuples, each with its own resource,
     angle, efficiency, detector kind and event set.  "quadrature" runs
-    the full simulation of bob_state at every quadrature node, all nodes
-    of an event as one stack through _bob_states, so that each node is
-    checked as a bob_state call would check it.  The two routes share the
-    splitter and the conditioning step (_bob_modes) but no averaging
-    code, and must agree to rounding.  A simulated event probability of
-    0 raises ValueError.
+    the full simulation of bob_state at every quadrature node and event,
+    in stacks through _bob_states, so that each node is checked as a
+    bob_state call would check it; it is the one-row call of
+    _quadrature_averages.
+    The moments route runs in float64 and the quadrature on complex
+    densities; the two share the splitter and the conditioning step
+    (_bob_modes) but no averaging code, and must agree to rounding.  A
+    simulated event probability of 0 raises ValueError.
     """
     if method == "moments":
         return _averaged_moments([params])[0]
     if method == "quadrature":
-        nodes = _bloch_nodes(n_polar, n_azimuth)
-        targets = [qubit.state().to_vector() for _, qubit in nodes]
-        qubits = np.stack([np.outer(v, v.conj()) for v in targets])
-        states = [_bob_states(event, qubits, params)[1] for event in params.events]
-        sum_f = sum_p = 0.0
-        for node, ((weight, _), v) in enumerate(zip(nodes, targets)):
-            for rho_b in states:
-                sum_f += weight * float(np.real(v.conj() @ rho_b[node] @ v))
-                sum_p += weight * float(rho_b[node].trace().real)
-        _check_heralded(sum_p, params)
-        return float(sum_f / sum_p), float(sum_p)
+        return _quadrature_averages([params], n_polar, n_azimuth)[0]
     raise ValueError(f"unknown averaging method {method!r}")
 
 
@@ -1027,13 +1077,14 @@ def nonadvantageous_bound(
     (a phase shift, sampled on {0, pi} plus a uniform grid) with
     number-resolving detectors.  Events with vanishing probability at a
     grid point contribute nothing there.  The angles run in blocks of 16
-    (_BLOCK) through the moments route with one shared resource: one
-    _bob_modes call per block conditions on all four rejected events at
-    once, with each event's weights from _event_weight_sqrt.  Each block
-    builds its splitters uncached, since a grid angle is used once per
-    call, and as one stack (_embedded_real_unitaries, bit for bit the
-    per-angle splitters): memory is bounded by one block's stacks, not by
-    a cache of per-angle splitters.  n_theta and n_phase must be integers of at least 1 (an
+    (_BLOCK) through the moments route, in float64, with one shared
+    resource: one _bob_modes call per block conditions on all four
+    rejected events at once, with each event's weights from
+    _event_weight_sqrt.  Each block builds its splitters uncached, since a
+    grid angle is used once per call, and as one stack
+    (_embedded_real_unitaries, bit for bit the per-angle splitters):
+    memory is bounded by one block's stacks, not by a cache of per-angle
+    splitters.  n_theta and n_phase must be integers of at least 1 (an
     empty grid would bound nothing); ValueError otherwise.
     """
     n_theta = _positive_count("n_theta", n_theta)
@@ -1055,14 +1106,14 @@ def nonadvantageous_bound(
         )
         mats = _transported(resource, splitters)
         # kernels[angle, event, slot]; no rejected event gets Bob's correction
-        _, kernels = _bob_modes(mats[:, None], sq[:, None], len(mats))
+        _, kernels = _bob_modes(mats[:, None], sq[:, None], slice(0))
         k00, k01, k10, k11 = np.moveaxis(kernels, 2, 0)
-        int_p = np.real(np.trace(k11, axis1=-2, axis2=-1) + np.trace(k00, axis1=-2, axis2=-1))
-        int_p = int_p / 2.0
-        # Bob's phase rotates only the two cross moments
-        static = np.real(
-            (k11[..., 1, 1] + k00[..., 0, 0]) / 3.0 + (k11[..., 0, 0] + k00[..., 1, 1]) / 6.0
-        )
+        int_p = (np.trace(k11, axis1=-2, axis2=-1) + np.trace(k00, axis1=-2, axis2=-1)) / 2.0
+        # Bob's phase rotates only the two cross moments; the static ones
+        # multiply by the reciprocals, as in _event_integrals
+        static = (k11[..., 1, 1] + k00[..., 0, 0]) * (1.0 / 3.0) + (
+            k11[..., 0, 0] + k00[..., 1, 1]
+        ) * (1.0 / 6.0)
         swept = static[..., None] + np.real(
             rot * k10[..., 1, 0, None] + np.conj(rot) * k01[..., 0, 1, None]
         ) / 6.0

@@ -31,20 +31,24 @@ from .circuits import (
 from .config import TOL
 from .detection import (
     DetectorModel,
-    lossy_moments,
-    lossy_moments_ancilla,
-    povm_moments,
+    _ancilla_moment_stack,
+    _lossy_moment_stack,
+    _povm_moment_stack,
 )
-from .fock import DensityOperator, FockSpace
+from .fock import FockSpace, _check_density_stack
 from .teleport import (
+    _BLOCK,
+    BellEvent,
     TeleportParams,
     UnknownQubit,
     _averaged_moments,
+    _bob_states,
     _curve_on_terms,
     _grid_terms,
+    _quadrature_averages,
+    _qubit_densities,
     averaged_fidelity_curve,
     averaged_fidelity_probability,
-    bob_state,
     bob_state_closed_form,
     conditional_resource,
     conditional_resource_closed_form,
@@ -59,6 +63,7 @@ from .teleport import (
     simulate_averaged,
 )
 from .witness import (
+    _reduce_states,
     _witness_states,
     reduced_pair,
     scan_all_pairs,
@@ -121,6 +126,13 @@ def _witness_claim(rng: np.random.Generator, count: int) -> tuple[float, float]:
             worst_ratio = max(worst_ratio, sim.ratio, closed)
         del items, dets, sims
     return res, worst_ratio
+
+
+def _slices(items: list):
+    """``items`` in consecutive slices of _BLOCK, each run as one stack by
+    a sampled cross-check that has drawn all of its items first."""
+    for start in range(0, len(items), _BLOCK):
+        yield items[start : start + _BLOCK]
 
 
 def _refine_max(f, x: float, h: float) -> float:
@@ -248,15 +260,20 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
     )
 
     space2 = FockSpace(2)
-    res = 0.0
+    items = []
     for _ in range(60):
         v = rng.normal(size=space2.dim) + 1j * rng.normal(size=space2.dim)
         v /= np.linalg.norm(v)
-        rho = DensityOperator(space2, np.outer(v, v.conj()), normalized=True)
-        det = DetectorModel(float(rng.uniform(0.0, 1.0)))
-        a = lossy_moments(rho, det)
-        b = lossy_moments_ancilla(rho, det)
-        res = max(res, max(abs(x - y) for x, y in zip(a, b)))
+        items.append((np.outer(v, v.conj()), DetectorModel(float(rng.uniform(0.0, 1.0)))))
+    res = 0.0
+    for part in _slices(items):
+        states = np.stack([rho for rho, _ in part])
+        _check_density_stack(states, normalized=True)
+        etas = [det.eta for _, det in part]
+        for a, b in zip(
+            _lossy_moment_stack(space2, states, etas), _ancilla_moment_stack(space2, states, etas)
+        ):
+            res = max(res, max(abs(x - y) for x, y in zip(a, b)))
     check(
         "thinning-vs-ancilla-loss",
         "moment transform for lossy detection equals the beam-splitter ancilla model",
@@ -264,18 +281,23 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
         TOL.closed_form,
     )
 
-    res = 0.0
+    items = []
     for _ in range(60):
         n = int(rng.integers(2, 7))
         coeffs = _random_coefficients(rng, n)
         i, j = sorted(rng.choice(n, size=2, replace=False))
-        det = DetectorModel(float(rng.uniform(0.05, 1.0)))
-        rho2 = reduced_pair(coeffs, int(i), int(j))
-        a = povm_moments(rho2, det, kind="number")
-        b = povm_moments(rho2, det, kind="onoff")
-        c = lossy_moments(rho2, det)
-        res = max(res, max(abs(x - y) for x, y in zip(a, b)))
-        res = max(res, max(abs(x - y) for x, y in zip(a, c)))
+        items.append((coeffs, int(i), int(j), DetectorModel(float(rng.uniform(0.05, 1.0)))))
+    res = 0.0
+    for part in _slices(items):
+        pairs = _reduce_states([(coeffs, i, j) for coeffs, i, j, _ in part])
+        etas = [det.eta for *_, det in part]
+        for a, b, c in zip(
+            _povm_moment_stack(space2, pairs, etas, "number"),
+            _povm_moment_stack(space2, pairs, etas, "onoff"),
+            _lossy_moment_stack(space2, pairs, etas),
+        ):
+            res = max(res, max(abs(x - y) for x, y in zip(a, b)))
+            res = max(res, max(abs(x - y) for x, y in zip(a, c)))
     check(
         "detector-backend-agreement",
         "number-resolving and on-off detection statistics agree on single-photon pairs",
@@ -307,16 +329,22 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
 
     res_state = 0.0
     res_prob = 0.0
+    items = []
     for _ in range(40):
         params = _random_teleport_params(rng)
-        qubit = _random_qubit(rng)
-        for event in ("D10", "D01"):
-            sim = bob_state(event, qubit, params)
+        items.append((params, _random_qubit(rng)))
+    for part in _slices(items):
+        # each item's D10 state, then its D01 state
+        rows, qubits, events = zip(
+            *[(params, qubit, e) for params, qubit in part for e in (BellEvent.D10, BellEvent.D01)]
+        )
+        _, states = _bob_states(rows, events, _qubit_densities(qubits))
+        for params, qubit, event, sim in zip(rows, qubits, events, states):
             closed = bob_state_closed_form(event, qubit, params)
-            res_state = max(res_state, float(np.max(np.abs(sim.matrix - closed.matrix))))
+            res_state = max(res_state, float(np.max(np.abs(sim - closed.matrix))))
             res_prob = max(
                 res_prob,
-                abs(sim.trace() - event_probability_closed_form(event, qubit, params)),
+                abs(float(sim.trace().real) - event_probability_closed_form(event, qubit, params)),
             )
     check(
         "bob-state-closed-form",
@@ -346,9 +374,8 @@ def run_verification(seed: int = 0, tolerance: float | None = None) -> list[Clai
     )
 
     res = 0.0
-    for params in tuples[:6]:
+    for params, (f_sim, p_sim) in zip(tuples[:6], _quadrature_averages(tuples[:6])):
         report = averaged_fidelity_probability(params)
-        f_sim, p_sim = simulate_averaged(params, method="quadrature")
         res = max(res, abs(report.avg_fidelity - f_sim), abs(report.avg_probability - p_sim))
     check(
         "averaged-quadrature",

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from wsim import BellEvent, TeleportParams, UnknownQubit, cli, fock, teleport
+from wsim import BellEvent, TeleportParams, UnknownQubit, cli, detection, fock, teleport
 from wsim.circuits import bell_splitter, splitter
 from wsim.detection import _condition_outcomes_raw
 
@@ -131,6 +131,60 @@ def phase_shifted_bob_state(event, qubit, params):
     if event is BellEvent.D01:
         mat = fock._phase_raw(space, mat, 0, math.pi)
     return mat
+
+
+# ---------------------------------------------------------------------------
+# The per-state loss and POVM readouts of detection: their stacks must equal
+# them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def ancilla_moments(rho2, det):
+    """lossy_moments_ancilla one state at a time, its loss splitters
+    embedded again on every readout phase."""
+    loss = fock._check_two_mode_unitary(splitter(math.acos(math.sqrt(det.eta))))
+    ancillas = fock.vacuum_state(fock.FockSpace(2)).to_density()
+    out = []
+    n_plus_meas = 0.0
+    for phi in (0.0, math.pi / 2):
+        probe = detection._readout_raw(rho2.space, rho2.matrix, phi)
+        space, big = fock._tensor_raw(rho2.space, probe, ancillas.space, ancillas.matrix)
+        big = fock._unitary_raw(space, big, (0, 2), loss)
+        big = fock._unitary_raw(space, big, (1, 3), loss)
+        diag = np.real(np.diag(big))
+        d_vals, n_vals = detection._count_vectors(space, (2, 3))
+        mean_d = float(diag @ d_vals)
+        out.append((float(diag @ d_vals**2) - mean_d**2) / 4.0)
+        if phi == 0.0:
+            n_plus_meas = float(diag @ n_vals)
+    return out[0], out[1], n_plus_meas
+
+
+def povm_moments(rho2, det, kind):
+    """povm_moments one state at a time, one 1-D dot per outcome."""
+    if detection._DETECTOR_KINDS[kind] == "number":
+        outcomes = [(detection.povm_number(k, det), float(k)) for k in range(3)]
+    else:
+        outcomes = [(detection.povm_onoff(False, det), 0.0), (detection.povm_onoff(True, det), 1.0)]
+    joint = [
+        (detection._povm_weights(rho2.space, {0: c, 1: d}), val_c - val_d, val_c + val_d)
+        for c, val_c in outcomes
+        for d, val_d in outcomes
+    ]
+    variances = []
+    n_plus_meas = 0.0
+    for phi in (0.0, math.pi / 2):
+        diag = np.real(np.diag(detection._readout_raw(rho2.space, rho2.matrix, phi)))
+        mean_d = mean_d2 = mean_n = 0.0
+        for weights, d, total in joint:
+            p = float(diag @ weights)
+            mean_d += p * d
+            mean_d2 += p * d * d
+            mean_n += p * total
+        variances.append((mean_d2 - mean_d**2) / 4.0)
+        if phi == 0.0:
+            n_plus_meas = mean_n
+    return variances[0], variances[1], n_plus_meas
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ from wsim import (
 )
 from wsim.circuits import coefficients_from_angles
 from wsim.config import TOL
-from wsim.detection import _povm_weights
+from wsim.detection import _ancilla_moment_stack, _povm_moment_stack, _povm_weights
+
+import oracles
 
 
 def random_two_mode_state(rng):
@@ -203,6 +205,78 @@ class TestLossyMoments:
         rho = fock_state(FockSpace(1), (1,)).to_density()
         with pytest.raises(ValueError):
             lossy_moments(rho, DetectorModel(0.5))
+
+
+# detector efficiencies at and near the bounds of [0, 1], and in between
+stack_etas = st.one_of(st.just(0.0), st.just(1e-9), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def mixed_stacks(draw):
+    """A stack of 1 to 20 two-mode states, each a random pure state or a
+    reduced W pair, with one detector efficiency per state."""
+    states, etas = [], []
+    for _ in range(draw(st.integers(1, 20))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if draw(st.booleans()):
+            states.append(random_two_mode_state(rng))
+        else:
+            n = int(rng.integers(2, 6))
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            states.append(reduced_pair(tuple(complex(x) for x in v / np.linalg.norm(v)), i, j))
+        etas.append(draw(stack_etas))
+    return states, etas
+
+
+def moment_bytes(triples):
+    """The bytes of a list of moment triples: equal bytes are equal bits,
+    signed zeros included."""
+    return np.array(triples, dtype=float).tobytes()
+
+
+class TestMomentStacks:
+    """The stacked loss and POVM readouts that verify runs: each entry is
+    bit for bit the one-state public call of its slice, and the per-state
+    routes they replaced (tests/oracles.py)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=mixed_stacks())
+    def test_ancilla_stack_equals_one_state_calls(self, stack):
+        states, etas = stack
+        matrices = np.stack([rho.matrix for rho in states])
+        got = _ancilla_moment_stack(FockSpace(2), matrices, etas)
+        dets = [DetectorModel(eta) for eta in etas]
+        single = [lossy_moments_ancilla(rho, det) for rho, det in zip(states, dets)]
+        assert moment_bytes(got) == moment_bytes(single)
+        expected = [oracles.ancilla_moments(rho, det) for rho, det in zip(states, dets)]
+        assert moment_bytes(got) == moment_bytes(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stack=mixed_stacks(), kind=st.sampled_from(["number", "onoff", "on-off"]))
+    def test_povm_stack_equals_one_state_calls(self, stack, kind):
+        states, etas = stack
+        matrices = np.stack([rho.matrix for rho in states])
+        got = _povm_moment_stack(FockSpace(2), matrices, etas, kind)
+        dets = [DetectorModel(eta) for eta in etas]
+        single = [povm_moments(rho, det, kind) for rho, det in zip(states, dets)]
+        assert moment_bytes(got) == moment_bytes(single)
+        expected = [oracles.povm_moments(rho, det, kind) for rho, det in zip(states, dets)]
+        assert moment_bytes(got) == moment_bytes(expected)
+
+    def test_stacks_keep_the_input_checks(self):
+        one_mode = fock_state(FockSpace(1), (1,)).to_density().matrix[None]
+        for stacked in (
+            lambda m: _ancilla_moment_stack(FockSpace(1), m, [0.5]),
+            lambda m: _povm_moment_stack(FockSpace(1), m, [0.5], "number"),
+        ):
+            with pytest.raises(ValueError, match="two-mode state"):
+                stacked(one_mode)
+        pair = fock_state(FockSpace(2), (1, 0)).to_density().matrix
+        with pytest.raises(ValueError, match="normalized state"):
+            _ancilla_moment_stack(FockSpace(2), np.stack([pair, 0.5 * pair]), [0.5, 0.5])
+        with pytest.raises(ValueError, match="unknown detector back-end 'analog'"):
+            _povm_moment_stack(FockSpace(2), pair[None], [0.5], "analog")
 
 
 def outcome_families(eta):

@@ -480,7 +480,16 @@ class TestChainChecksOnce:
         assert_same_bits(stack, expected)
 
 
+def assert_real_part(got, expected):
+    """A real stack equal, bit for bit, to the real part of a complex one
+    whose imaginary parts are all exactly zero."""
+    assert np.all(expected.imag == 0)
+    assert_same_bits(got, np.ascontiguousarray(expected.real))
+
+
 class TestStackedKernels:
+    # the transport runs in float64; the complex per-row route of the
+    # oracles stays the reference for its real part
     def test_angle_stack_equals_single_angles(self):
         # the grid form: one shared resource, the splitters built as one stack
         base = TeleportParams(5, 2, 0.6, 0.0)
@@ -492,13 +501,13 @@ class TestStackedKernels:
         assert stack.shape == (7, 4, 10, 10)
         for t, theta in enumerate(thetas):
             single = oracles.transported(dataclasses.replace(base, theta=float(theta)))
-            assert_same_bits(stack[t], single)
+            assert_real_part(stack[t], single)
 
     def test_stack_equals_two_dimensional_products(self):
         params = TeleportParams(4, 1, 0.8, 0.7, "onoff", "both")
         u = oracles.bell_unitary(params.theta)
         (stack,) = teleport._transported(
-            teleport.conditional_resource(params).matrix[None], u[None]
+            teleport.conditional_resource(params).matrix[None], u.real.copy()[None]
         )
         for slot in range(4):
             j, k = divmod(slot, 2)
@@ -507,7 +516,7 @@ class TestStackedKernels:
             _, t = fock._tensor_raw(
                 FockSpace(1), qubit, teleport._RESOURCE_SPACE, teleport.conditional_resource(params).matrix
             )
-            assert_same_bits(stack[slot], u @ t @ u.conj().T)
+            assert_real_part(stack[slot], u @ t @ u.conj().T)
 
     @pytest.mark.parametrize("size", [1, 32, 1000])
     def test_stacked_splitters_equal_per_angle(self, size):
@@ -528,7 +537,7 @@ class TestStackedKernels:
             expected = np.stack(
                 [fock._embedded_unitary(space, (0, 1), bell_splitter(theta)) for theta in grid]
             )
-            assert_same_bits(stack, expected)
+            assert_real_part(stack, expected)
 
     def test_float_and_complex_splitters_embed_differently(self):
         # teleport embeds the float bell_splitter (_bell_unitary), for the

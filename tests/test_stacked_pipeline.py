@@ -1,9 +1,10 @@
 """Stacked runs of the simulated teleport pipeline.
 
-simulate_averaged's quadrature sends all of its nodes through _bob_states
-as one stack, and mc_averaged draws, evaluates and sums its samples in
-leaves of numpy's pairwise-sum tree, skipping the kernel entries that are
-exactly zero.  Each must equal, bit for bit, the per-node, whole-chunk and
+simulate_averaged's quadrature sends its nodes through _bob_states in
+stacks, whose slices each carry their own parameters, event and qubit,
+and mc_averaged draws, evaluates and sums its samples in leaves of
+numpy's pairwise-sum tree, skipping the kernel entries that are exactly
+zero.  Each must equal, bit for bit, the per-node, whole-chunk and
 dense computations they replace, which are kept here as oracles.
 bob_state must stay within a few ulps of the route that embeds the complex
 splitter and applies Bob's correction as a phase shift.  The stack
@@ -91,13 +92,53 @@ class TestStackEqualsLoop:
     @given(params=teleport_params(theta=angles), qs=st.lists(qubits(), min_size=1, max_size=6))
     def test_bob_states(self, params, qs):
         for event in (BellEvent.D10, BellEvent.D01):
-            space, stack = teleport._bob_states(event, density_stack(qs), params)
+            rows, events = [params] * len(qs), [event] * len(qs)
+            space, stack = teleport._bob_states(rows, events, density_stack(qs))
             assert stack.shape == (len(qs), 3, 3)
             for q, mat in zip(qs, stack):
                 expected = loop_bob_state(event, q, params)
                 assert space == expected.space
                 assert np.array_equal(mat, expected.matrix)
                 assert np.array_equal(bob_state(event, q, params).matrix, expected.matrix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mixed_stack_equals_bob_state(self, data):
+        # every slice with its own parameters, event and qubit
+        size = data.draw(st.integers(1, 20))
+        rows = data.draw(st.lists(teleport_params(theta=angles), min_size=size, max_size=size))
+        events = [data.draw(st.sampled_from(params.events)) for params in rows]
+        qs = data.draw(st.lists(qubits(), min_size=size, max_size=size))
+        space, stack = teleport._bob_states(rows, events, density_stack(qs))
+        assert space == FockSpace(1)
+        for params, event, q, mat in zip(rows, events, qs, stack):
+            assert mat.tobytes() == bob_state(event, q, params).matrix.tobytes()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        rows=st.lists(teleport_params(theta=angles), min_size=1, max_size=3),
+        n_polar=st.integers(1, 4),
+        n_azimuth=st.integers(1, 5),
+    )
+    def test_quadrature_rows_equal_one_row_calls(self, rows, n_polar, n_azimuth):
+        expected = [simulate_averaged(p, "quadrature", n_polar, n_azimuth) for p in rows]
+        assert bits(teleport._quadrature_averages(rows, n_polar, n_azimuth)) == bits(expected)
+
+    def test_probe_check_reads_each_resource_flag(self, monkeypatch):
+        # a resource with m = 0 is normalized, one with m > 0 is not
+        rows = [TeleportParams(3, 0, 0.7, 0.5), TeleportParams(4, 2, 0.7, 0.5)]
+        flags = []
+        original = teleport._check_density_stack
+
+        def spy(matrices, normalized=False):
+            flags.append(np.broadcast_to(normalized, matrices.shape[:-2]).tolist())
+            original(matrices, normalized)
+
+        monkeypatch.setattr(teleport, "_check_density_stack", spy)
+        stack = density_stack([UnknownQubit(0.6, 0.8)] * 2)
+        teleport._bob_states(rows, [BellEvent.D10, BellEvent.D01], stack)
+        # the qubits, the tensor products and Bob's states, in that order
+        assert flags == [[True, True], [True, False], [False, False]]
 
     @settings(max_examples=15, deadline=None)
     @given(params=teleport_params(theta=angles))
@@ -147,7 +188,7 @@ class TestStackEqualsLoop:
         two[space.index[(2,)], space.index[(2,)]] = 1.0
         stack = np.stack([density_stack([UnknownQubit(0.6, 0.8)])[0], two])
         with pytest.raises(ValueError, match="exceeds the total-photon cutoff"):
-            teleport._bob_states(BellEvent.D10, stack, params)
+            teleport._bob_states([params] * 2, [BellEvent.D10] * 2, stack)
         with pytest.raises(ValueError, match="exceeds the total-photon cutoff"):
             tensor(DensityOperator(space, two), conditional_resource(params))
 
@@ -186,9 +227,13 @@ class TestBlockedMoments:
         ]
         assert index == [b for b, _ in pairs]
         assert len(kernels) == len(pairs)
+        # the kernels are float64: the real part of the complex per-row
+        # route, whose imaginary parts are all zero
+        assert kernels.dtype == np.float64
         for (b, event), k in zip(pairs, kernels):
             expected = oracles.condition_kernels(oracles.transported(rows[b]), rows[b], event)
-            assert k.tobytes() == expected.tobytes()
+            assert np.all(expected.imag == 0)
+            assert k.tobytes() == expected.real.tobytes()
 
 
 def plain_monomials(x, phi):
@@ -451,6 +496,11 @@ class TestStackValidator:
         with pytest.raises(ValueError) as from_stack:
             fock._check_density_stack(stack, normalized=True)
         assert str(from_stack.value) == str(from_class.value)
+        # one flag per matrix: only the flagged ones must have unit trace
+        fock._check_density_stack(stack, normalized=np.array([True, False, True, True]))
+        with pytest.raises(ValueError) as from_flags:
+            fock._check_density_stack(stack, normalized=np.array([False, True, False, False]))
+        assert str(from_flags.value) == str(from_class.value)
 
     def test_bob_states_validate_each_node(self, monkeypatch):
         params = TeleportParams(3, 1, 0.7, 0.5)
@@ -458,12 +508,12 @@ class TestStackValidator:
 
         def skewed(mats, sq, flipped):
             space, out = original(mats, sq, flipped)
-            if flipped < len(out):
+            if flipped[1]:
                 out[1, 0, 1] += 1e-6  # one node's D01 state stops being Hermitian
             return space, out
 
         monkeypatch.setattr(teleport, "_bob_modes", skewed)
         stack = density_stack([UnknownQubit(0.6, 0.8), UnknownQubit(0.8, 0.6j)])
-        teleport._bob_states(BellEvent.D10, stack, params)
+        teleport._bob_states([params] * 2, [BellEvent.D01, BellEvent.D10], stack)
         with pytest.raises(ValueError, match="not Hermitian"):
-            teleport._bob_states(BellEvent.D01, stack, params)
+            teleport._bob_states([params] * 2, [BellEvent.D10, BellEvent.D01], stack)
